@@ -9,7 +9,9 @@ Two grid conventions are used, chosen by topology:
 
 Quadrature weight is uniform in both cases: the cell volume.  Fields are
 plain numpy arrays wrapped with just enough structure to carry the grid
-around; all containers are immutable value objects.
+around; all containers are immutable value objects.  Vector and tensor
+fields hold one stacked array with the component axes leading, and hand out
+per-component :class:`ScalarField` views of it.
 """
 from __future__ import annotations
 
@@ -143,12 +145,11 @@ def radial_distance(grid: GridSpec, center: tuple[float, ...] | None = None) -> 
     return np.sqrt(sq)
 
 
-def _check_values(values, grid: GridSpec, what: str) -> np.ndarray:
+def _check_values(values, grid: GridSpec, what: str, lead: tuple[int, ...] = ()) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
-    if arr.shape != grid.shape:
-        raise GridMismatchError(
-            f"{what} shape {arr.shape} does not match grid resolution {grid.shape}"
-        )
+    want = lead + grid.shape
+    if arr.shape != want:
+        raise GridMismatchError(f"{what} shape {arr.shape} does not match {want} for this grid")
     if not np.all(np.isfinite(arr)):
         raise FieldNotFiniteError(f"{what} contains non-finite values")
     return arr
@@ -180,65 +181,64 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Vector samples on a grid, one array per component."""
+    """Vector samples on a grid: one ``(dim, *grid.shape)`` array."""
 
-    components: tuple[ScalarField, ...]
+    values: np.ndarray
     grid: GridSpec
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        if len(comps) != self.grid.dimension:
-            raise GridMismatchError(
-                f"expected {self.grid.dimension} components, got {len(comps)}"
-            )
-        for c in comps:
-            if c.grid != self.grid:
-                raise GridMismatchError("vector components live on different grids")
-        object.__setattr__(self, "components", comps)
+        lead = (self.grid.dimension,)
+        object.__setattr__(self, "values",
+                           _check_values(self.values, self.grid, "vector field", lead))
 
     @classmethod
     def from_arrays(cls, arrays, grid: GridSpec) -> VectorField:
-        return cls(tuple(ScalarField(a, grid) for a in arrays), grid)
+        """Stack one array per component."""
+        return cls(arrays, grid)
+
+    @cached_property
+    def components(self) -> tuple[ScalarField, ...]:
+        """Per-component views of ``values``."""
+        return tuple(ScalarField(v, self.grid) for v in self.values)
 
     def magnitude(self) -> ScalarField:
-        sq = sum(c.values * c.values for c in self.components)
-        return ScalarField(np.sqrt(sq), self.grid)
+        return ScalarField(np.sqrt(np.sum(self.values * self.values, axis=0)), self.grid)
 
     def __add__(self, other: VectorField) -> VectorField:
         require_same_grid(self, other)
-        return VectorField(tuple(a + b for a, b in zip(self.components, other.components)), self.grid)
+        return VectorField(self.values + other.values, self.grid)
 
     def __sub__(self, other: VectorField) -> VectorField:
         require_same_grid(self, other)
-        return VectorField(tuple(a - b for a, b in zip(self.components, other.components)), self.grid)
+        return VectorField(self.values - other.values, self.grid)
 
     def __mul__(self, factor: float) -> VectorField:
-        return VectorField(tuple(c * factor for c in self.components), self.grid)
+        return VectorField(self.values * float(factor), self.grid)
 
     __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
 class TensorField:
-    """Rank-2 tensor samples, stored as a 3x3 nest of scalar fields."""
+    """Rank-2 tensor samples: one ``(dim, dim, *grid.shape)`` array."""
 
-    components: tuple[tuple[ScalarField, ...], ...]
+    values: np.ndarray
     grid: GridSpec
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.components)
-        n = self.grid.dimension
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise GridMismatchError(f"tensor must be {n}x{n}")
-        for row in rows:
-            for c in row:
-                if c.grid != self.grid:
-                    raise GridMismatchError("tensor components live on different grids")
-        object.__setattr__(self, "components", rows)
+        lead = (self.grid.dimension,) * 2
+        object.__setattr__(self, "values",
+                           _check_values(self.values, self.grid, "tensor field", lead))
 
     @classmethod
     def from_arrays(cls, arrays, grid: GridSpec) -> TensorField:
-        return cls(tuple(tuple(ScalarField(a, grid) for a in row) for row in arrays), grid)
+        """Stack a nest of arrays, one row of components at a time."""
+        return cls(arrays, grid)
+
+    @cached_property
+    def components(self) -> tuple[tuple[ScalarField, ...], ...]:
+        """Per-entry views of ``values``, row by row."""
+        return tuple(tuple(ScalarField(c, self.grid) for c in row) for row in self.values)
 
 
 @dataclass(frozen=True)
@@ -290,24 +290,8 @@ class SpaceTimeField:
         shape = (tg.steps + 1, grid.dimension) + grid.shape
         return cls(np.zeros(shape), tg, grid)
 
-    @classmethod
-    def from_frames(cls, frames, tg: TimeGrid, grid: GridSpec) -> SpaceTimeField:
-        frames = list(frames)
-        if len(frames) != tg.steps + 1:
-            raise GridMismatchError(f"expected {tg.steps + 1} frames, got {len(frames)}")
-        data = np.empty((tg.steps + 1, grid.dimension) + grid.shape)
-        for i, f in enumerate(frames):
-            require_same_grid(f, grid=grid)
-            for m, c in enumerate(f.components):
-                data[i, m] = c.values
-        return cls(data, tg, grid)
-
     def frame(self, i: int) -> VectorField:
-        return VectorField.from_arrays(self.data[i], self.grid)
-
-    @property
-    def frames(self) -> tuple[VectorField, ...]:
-        return tuple(self.frame(i) for i in range(self.tg.steps + 1))
+        return VectorField(self.data[i], self.grid)
 
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.data)))

@@ -18,6 +18,7 @@ from ..fields import (
     SpaceTimeField,
     TimeGrid,
     VectorField,
+    require_same_grid,
 )
 from ..mild_solver import SolverConfig
 from .campaigns import CampaignConfig, default_campaign_config
@@ -79,7 +80,8 @@ def build_campaign_config(doc: dict, overrides: dict | None = None) -> CampaignC
 def _initial_field_from_doc(doc: dict, grid: GridSpec) -> VectorField:
     if "components_paths" in doc:
         comps = [read_field(path) for path in doc["components_paths"]]
-        return VectorField(tuple(comps), grid)
+        require_same_grid(*comps, grid=grid)
+        return VectorField.from_arrays([c.values for c in comps], grid)
     kind = doc.get("kind", "divergence-free")
     if kind != "divergence-free":
         raise ValueError(f"unknown initial-field kind {kind!r}")

@@ -8,7 +8,9 @@ limit stays within ``2 delta`` in the regime norm.
 
 Two regimes are supported: ``thm1`` measures iterates in a mixed norm of
 the pointwise-in-space supremum over time, ``thm2`` in a Luxemburg norm in
-time of the spatial fixed-exponent norm trace.
+time of the spatial fixed-exponent norm trace.  Every spectral step (the
+transforms, divergence, Leray projection, heat multiplier and Duhamel sum)
+comes from :mod:`varns.operators`.
 """
 from __future__ import annotations
 
@@ -29,10 +31,13 @@ from .fields import (
 )
 from .operators import (
     SpectralWorkspace,
+    _div_hat,
+    _heat_multiplier,
+    _leray_hat,
+    _relative_divergence_hat,
     duhamel_accumulate,
     leray_project,
     make_workspace,
-    relative_divergence,
 )
 from .varlp import NormValue, luxemburg_norm, mixed_norm
 
@@ -156,19 +161,6 @@ class SolverResult:
     divergence_defect: float
 
 
-def _hat_rel_divergence(hats, ws: SpectralWorkspace) -> float:
-    w = np.full(ws.k2.shape, 2.0)
-    w[..., 0] = 1.0
-    if ws.grid.resolution[-1] % 2 == 0:
-        w[..., -1] = 1.0
-    div_hat = sum(ws.k_deriv[j] * hats[j] for j in range(len(hats)))
-    num = np.sum(w * np.abs(div_hat) ** 2)
-    den = np.sum(w * ws.k2_deriv * sum(np.abs(h) ** 2 for h in hats))
-    if den == 0.0:
-        return 0.0
-    return float(np.sqrt(num / den))
-
-
 def initial_term(u0: VectorField, force_spec, tg: TimeGrid,
                  ws: SpectralWorkspace) -> SpaceTimeField:
     """Heat flow of the data plus the accumulated forcing history.
@@ -180,13 +172,10 @@ def initial_term(u0: VectorField, force_spec, tg: TimeGrid,
     grid = ws.grid
     if u0.grid != grid:
         raise ValueError("data and workspace grids differ")
-    dim = grid.dimension
-    u0_hat = [ws.forward(c.values) for c in u0.components]
-    data = np.empty((tg.steps + 1, dim) + grid.shape)
+    u0_hat = ws.forward(u0.values)
+    data = np.empty((tg.steps + 1, grid.dimension) + grid.shape)
     for i, t in enumerate(tg.nodes):
-        mult = np.exp(-t * ws.k2)
-        for m in range(dim):
-            data[i, m] = ws.inverse(mult * u0_hat[m])
+        data[i] = ws.inverse(_heat_multiplier(t, ws) * u0_hat)
 
     if force_spec is None:
         return SpaceTimeField(data, tg, grid)
@@ -194,13 +183,8 @@ def initial_term(u0: VectorField, force_spec, tg: TimeGrid,
     if isinstance(force_spec, TensorField):
         if force_spec.grid != grid:
             raise ValueError("tensor force and workspace grids differ")
-        f_hat = []
-        for m in range(dim):
-            acc = 0.0
-            for l in range(dim):
-                acc = acc + 1j * ws.k_deriv[l] * ws.forward(force_spec.components[l][m].values)
-            f_hat.append(acc)
-        defect = _hat_rel_divergence(f_hat, ws)
+        f_hat = _div_hat(ws.forward(force_spec.values), ws)
+        defect = _relative_divergence_hat(f_hat, ws)
         if defect > _DIV_TOL:
             raise ForceDivergenceError(
                 f"tensor force has relative divergence {defect:.3e} > {_DIV_TOL}"
@@ -216,8 +200,8 @@ def initial_term(u0: VectorField, force_spec, tg: TimeGrid,
 
         def hat(i: int):
             nonlocal worst
-            hats = [ws.forward(force_spec.data[i, m]) for m in range(dim)]
-            worst = max(worst, _hat_rel_divergence(hats, ws))
+            hats = ws.forward(force_spec.data[i])
+            worst = max(worst, _relative_divergence_hat(hats, ws))
             return hats
 
         duh = duhamel_accumulate(hat, tg, ws)
@@ -235,51 +219,58 @@ def bilinear_term(u: SpaceTimeField, ws: SpectralWorkspace) -> SpaceTimeField:
     """Heat-propagated projected transport term of ``u`` against itself."""
     if u.grid != ws.grid:
         raise ValueError("field and workspace grids differ")
+    # the product tensor u_l u_m is symmetric: transform its upper triangle
+    # once and index the full tensor out of it
     dim = ws.grid.dimension
+    upper = np.triu_indices(dim)
+    full = np.empty((dim, dim), dtype=int)
+    full[upper] = full.T[upper] = np.arange(upper[0].size)
 
     def ghat(i: int):
         ui = u.data[i]
-        t_hat = {}
-        for l in range(dim):
-            for m in range(l, dim):
-                t_hat[(l, m)] = ws.forward(ui[l] * ui[m])
-        g = []
-        for m in range(dim):
-            acc = 0.0
-            for l in range(dim):
-                key = (l, m) if l <= m else (m, l)
-                acc = acc + 1j * ws.k_deriv[l] * t_hat[key]
-            g.append(acc)
-        dot = sum(ws.k_deriv[j] * g[j] for j in range(dim))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scale = np.where(ws.k2_deriv > 0.0,
-                             dot / np.where(ws.k2_deriv > 0, ws.k2_deriv, 1.0), 0.0)
-        return [g[j] - ws.k_deriv[j] * scale for j in range(dim)]
+        products = ws.forward(ui[upper[0]] * ui[upper[1]])
+        return _leray_hat(_div_hat(products[full], ws), ws)
 
     return SpaceTimeField(duhamel_accumulate(ghat, u.tg, ws), u.tg, u.grid)
 
 
-def _sup_trace(data: np.ndarray) -> np.ndarray:
-    out = np.sum(data[0] * data[0], axis=0)
-    for i in range(1, data.shape[0]):
-        np.maximum(out, np.sum(data[i] * data[i], axis=0), out=out)
+# Norm traces read a space-time history one node frame ``(dim, ...space)``
+# at a time, so a difference of two histories streams without a third stack.
+
+def _sup_trace(frames) -> np.ndarray:
+    out = None
+    for f in frames:
+        mag2 = np.sum(f * f, axis=0)
+        out = mag2 if out is None else np.maximum(out, mag2, out=out)
     return np.sqrt(out)
+
+
+def _lq_trace(frames, q: float, cell_volume: float) -> np.ndarray:
+    return np.array([(cell_volume * np.sum(np.sqrt(np.sum(f * f, axis=0)) ** q)) ** (1.0 / q)
+                     for f in frames])
+
+
+def _thm1_norm(frames, grid: GridSpec, p: ExponentField, frak_p: float,
+               tol: float) -> NormValue:
+    return mixed_norm(ScalarField(_sup_trace(frames), grid), p, frak_p, tol)
+
+
+def _thm2_norm(frames, tg: TimeGrid, grid: GridSpec, p: ExponentField, q: float,
+               tol: float) -> NormValue:
+    g = p.grid
+    if g.dimension != 1 or g.resolution[0] != tg.steps:
+        raise ValueError("temporal exponent needs one sample per time step")
+    if abs(g.extents[0] - tg.T) > 1e-12 * max(1.0, tg.T):
+        raise ValueError("temporal exponent interval must cover [0, T]")
+    nodes = _lq_trace(frames, q, grid.cell_volume)
+    cells = 0.5 * (nodes[:-1] + nodes[1:])
+    return luxemburg_norm(ScalarField(cells, g), p, tol)
 
 
 def norm_E_thm1(u: SpaceTimeField, p: ExponentField, frak_p: float = 3.0,
                 tol: float = 1e-8) -> NormValue:
     """Mixed norm of the pointwise supremum over time of ``|u|``."""
-    trace = ScalarField(_sup_trace(u.data), u.grid)
-    return mixed_norm(trace, p, frak_p, tol)
-
-
-def _lq_trace(data: np.ndarray, q: float, cell_volume: float) -> np.ndarray:
-    n_nodes = data.shape[0]
-    out = np.empty(n_nodes)
-    for i in range(n_nodes):
-        mag = np.sqrt(np.sum(data[i] * data[i], axis=0))
-        out[i] = (cell_volume * np.sum(mag**q)) ** (1.0 / q)
-    return out
+    return _thm1_norm(u.data, u.grid, p, frak_p, tol)
 
 
 def norm_E_thm2(u: SpaceTimeField, p: ExponentField, q: float,
@@ -289,14 +280,7 @@ def norm_E_thm2(u: SpaceTimeField, p: ExponentField, q: float,
     Node values are averaged onto time cells so the trace lives on the same
     midpoint grid as the temporal exponent.
     """
-    g = p.grid
-    if g.dimension != 1 or g.resolution[0] != u.tg.steps:
-        raise ValueError("temporal exponent needs one sample per time step")
-    if abs(g.extents[0] - u.tg.T) > 1e-12 * max(1.0, u.tg.T):
-        raise ValueError("temporal exponent interval must cover [0, T]")
-    nodes = _lq_trace(u.data, q, u.grid.cell_volume)
-    cells = 0.5 * (nodes[:-1] + nodes[1:])
-    return luxemburg_norm(ScalarField(cells, g), p, tol)
+    return _thm2_norm(u.data, u.tg, u.grid, p, q, tol)
 
 
 def regime_norm(u: SpaceTimeField, cfg: SolverConfig) -> NormValue:
@@ -306,24 +290,10 @@ def regime_norm(u: SpaceTimeField, cfg: SolverConfig) -> NormValue:
 
 
 def _difference_norm(a: SpaceTimeField, b: SpaceTimeField, cfg: SolverConfig) -> float:
-    # streamed so two large stacks never produce a third
+    frames = (x - y for x, y in zip(a.data, b.data))
     if cfg.regime == "thm1":
-        sq = None
-        for i in range(a.data.shape[0]):
-            d = a.data[i] - b.data[i]
-            mag2 = np.sum(d * d, axis=0)
-            sq = mag2 if sq is None else np.maximum(sq, mag2)
-        trace = ScalarField(np.sqrt(sq), a.grid)
-        return mixed_norm(trace, cfg.p, cfg.frak_p, cfg.tol_norm).value
-    q = cfg.q
-    w = a.grid.cell_volume
-    nodes = np.empty(a.data.shape[0])
-    for i in range(a.data.shape[0]):
-        d = a.data[i] - b.data[i]
-        mag = np.sqrt(np.sum(d * d, axis=0))
-        nodes[i] = (w * np.sum(mag**q)) ** (1.0 / q)
-    cells = 0.5 * (nodes[:-1] + nodes[1:])
-    return luxemburg_norm(ScalarField(cells, cfg.p.grid), cfg.p, cfg.tol_norm).value
+        return _thm1_norm(frames, a.grid, cfg.p, cfg.frak_p, cfg.tol_norm).value
+    return _thm2_norm(frames, a.tg, a.grid, cfg.p, cfg.q, cfg.tol_norm).value
 
 
 def _random_divfree_history(grid: GridSpec, tg: TimeGrid,
@@ -404,10 +374,15 @@ def smallness_check(cfg: SolverConfig, c_b: float) -> SmallnessVerdict:
     scanned as well; the ladder thresholds rescale the measured constant by
     ``(1 + T') / (1 + T)``, the horizon dependence of the transport bound.
     """
+    ws = make_workspace(cfg.u0.grid)
+    return _smallness(cfg, c_b, initial_term(cfg.u0, cfg.force_spec, cfg.tg, ws), ws)
+
+
+def _smallness(cfg: SolverConfig, c_b: float, e0: SpaceTimeField,
+               ws: SpectralWorkspace) -> SmallnessVerdict:
+    # the gate of smallness_check, measured on an already computed e0
     if c_b <= 0:
         raise ValueError(f"bilinear constant must be positive, got {c_b}")
-    ws = make_workspace(cfg.u0.grid)
-    e0 = initial_term(cfg.u0, cfg.force_spec, cfg.tg, ws)
     delta = regime_norm(e0, cfg).value
     threshold = 1.0 / (4.0 * c_b)
     passed = delta < threshold
@@ -451,7 +426,7 @@ def picard_solve(cfg: SolverConfig, c_b: float | None = None, trials: int = 3,
             cfg.regime, cfg.p, cfg.q, cfg.tg, ws, trials, seed, cfg.frak_p, cfg.tol_norm)
         if c_b == 0.0:
             c_b = 1e-30
-    verdict = smallness_check(cfg, c_b)
+    verdict = _smallness(cfg, c_b, e0, ws)
     if not verdict.passed and not override_smallness:
         raise SmallnessError(
             f"data norm {verdict.delta:.6e} is not below the contraction "
@@ -459,7 +434,7 @@ def picard_solve(cfg: SolverConfig, c_b: float | None = None, trials: int = 3,
         )
 
     u = e0
-    norms = [regime_norm(u, cfg).value]
+    norms = [verdict.delta]
     increments: list[float] = []
     converged = False
     for n in range(1, cfg.max_iters + 1):
@@ -494,8 +469,8 @@ def picard_solve(cfg: SolverConfig, c_b: float | None = None, trials: int = 3,
         contraction = max(b / a for a, b in positive)
 
     div_defect = 0.0
-    for i in range(u.data.shape[0]):
-        div_defect = max(div_defect, relative_divergence(u.frame(i), ws))
+    for frame in u.data:
+        div_defect = max(div_defect, _relative_divergence_hat(ws.forward(frame), ws))
 
     return SolverResult(tuple(norms), tuple(increments), u, residual, contraction,
                         c_b, verdict, converged, div_defect)

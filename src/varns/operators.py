@@ -1,11 +1,16 @@
 """Operators on sampled fields: maximal averages, spectral multipliers,
 singular-kernel quadrature, and the heat semigroup.
 
-Spectral operators act on periodic grids through the real FFT.  Odd
-(derivative-type) symbols use wavenumbers with the Nyquist plane zeroed,
-the standard convention that keeps real fields real and makes the
-first-order identities exact on band-limited data; even symbols such as
-the heat multiplier use the full wavenumbers.
+Spectral operators act on periodic grids through the real FFT of a cached
+:class:`SpectralWorkspace`.  Arrays are stacked: transforms run over the
+trailing ``grid.dimension`` axes, and every leading axis (vector
+components, tensor rows, batches of products) is a batch axis.  Each public
+spectral operator is forward transform, hat-level helper, inverse
+transform; :mod:`varns.mild_solver` takes its spectral steps from the same
+helpers.  Odd (derivative-type) symbols use wavenumbers with the Nyquist
+plane zeroed, the standard convention that keeps real fields real and
+makes the first-order identities exact on band-limited data; even symbols
+such as the heat multiplier use the full wavenumbers.
 
 Kernel quadrature (the fractional-integral operators) runs on truncated
 boxes with the field extended by zero, midpoint weights off the diagonal
@@ -52,7 +57,8 @@ class SpectralWorkspace:
 
     ``k`` are the full wavenumbers (even symbols), ``k_deriv`` the
     Nyquist-zeroed ones (odd symbols); both are broadcastable against the
-    half-complex spectrum layout of the real FFT.
+    half-complex spectrum layout of the real FFT.  ``forward`` and
+    ``inverse`` transform over the trailing grid axes of a stack.
     """
 
     grid: GridSpec
@@ -63,19 +69,27 @@ class SpectralWorkspace:
     workers: int
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        return sfft.rfftn(values, workers=self.workers)
+        axes = tuple(range(-self.grid.dimension, 0))
+        return sfft.rfftn(values, axes=axes, workers=self.workers)
 
     def inverse(self, hat: np.ndarray) -> np.ndarray:
-        return sfft.irfftn(hat, s=self.grid.shape, workers=self.workers)
+        axes = tuple(range(-self.grid.dimension, 0))
+        return sfft.irfftn(hat, s=self.grid.shape, axes=axes, workers=self.workers)
+
+
+def make_workspace(grid: GridSpec, workers: int | None = None) -> SpectralWorkspace:
+    """The cached spectral workspace for a periodic grid.
+
+    ``workers`` defaults to :func:`worker_count` read at call time, so a
+    changed ``VARNS_THREADS`` takes effect for grids already cached.
+    """
+    return _workspace(grid, worker_count() if workers is None else workers)
 
 
 @lru_cache(maxsize=16)
-def make_workspace(grid: GridSpec, workers: int | None = None) -> SpectralWorkspace:
-    """Build (and cache) the spectral workspace for a periodic grid."""
+def _workspace(grid: GridSpec, workers: int) -> SpectralWorkspace:
     if grid.topology != PERIODIC:
         raise ValueError("spectral operators need a periodic grid")
-    if workers is None:
-        workers = worker_count()
     dim = grid.dimension
     k_full, k_deriv = [], []
     for axis in range(dim):
@@ -97,8 +111,48 @@ def make_workspace(grid: GridSpec, workers: int | None = None) -> SpectralWorksp
     return SpectralWorkspace(grid, tuple(k_full), tuple(k_deriv), k2, k2_deriv, workers)
 
 
-def _hat_components(v: VectorField, ws: SpectralWorkspace) -> list[np.ndarray]:
-    return [ws.forward(c.values) for c in v.components]
+# Hat-level helpers.  ``hats`` is a spectrum stack whose first axis runs
+# over the grid dimension: a vector (dim, ...) or a tensor (dim, dim, ...).
+
+def _div_hat(hats: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
+    """``sum_l i k_l hats[l]``: the divergence of a vector spectrum, the row
+    divergence ``(div T)_m = sum_l d_l T_lm`` of a tensor spectrum."""
+    return sum(1j * ws.k_deriv[l] * hats[l] for l in range(ws.grid.dimension))
+
+
+def _k_dot(hats: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
+    # summed apart from _div_hat: dividing that by i would move the last bits
+    return sum(ws.k_deriv[j] * hats[j] for j in range(ws.grid.dimension))
+
+
+def _leray_hat(hats: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
+    """Divergence-free part of a vector spectrum; the mean mode passes through."""
+    dot = _k_dot(hats, ws)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scale = np.where(ws.k2_deriv > 0.0, dot / np.where(ws.k2_deriv > 0, ws.k2_deriv, 1.0), 0.0)
+    return np.stack([hats[j] - ws.k_deriv[j] * scale for j in range(ws.grid.dimension)])
+
+
+def _parseval_weights(ws: SpectralWorkspace) -> np.ndarray:
+    w = np.full(ws.k2.shape, 2.0)
+    w[..., 0] = 1.0
+    if ws.grid.resolution[-1] % 2 == 0:
+        w[..., -1] = 1.0
+    return w
+
+
+def _relative_divergence_hat(hats: np.ndarray, ws: SpectralWorkspace) -> float:
+    """Divergence content of a vector spectrum relative to its gradient content."""
+    w = _parseval_weights(ws)
+    num = np.sum(w * np.abs(_k_dot(hats, ws)) ** 2)
+    den = np.sum(w * ws.k2_deriv * sum(np.abs(h) ** 2 for h in hats))
+    if den == 0.0:
+        return 0.0
+    return float(np.sqrt(num / den))
+
+
+def _heat_multiplier(t: float, ws: SpectralWorkspace) -> np.ndarray:
+    return np.exp(-t * ws.k2)
 
 
 def riesz_transform(f: ScalarField, axis: int, ws: SpectralWorkspace) -> ScalarField:
@@ -116,57 +170,25 @@ def riesz_transform(f: ScalarField, axis: int, ws: SpectralWorkspace) -> ScalarF
 def divergence(v: VectorField, ws: SpectralWorkspace) -> ScalarField:
     """Spectral divergence of a vector field."""
     require_same_grid(v, grid=ws.grid)
-    hats = _hat_components(v, ws)
-    acc = sum(1j * ws.k_deriv[j] * hats[j] for j in range(len(hats)))
-    return ScalarField(ws.inverse(acc), ws.grid)
+    return ScalarField(ws.inverse(_div_hat(ws.forward(v.values), ws)), ws.grid)
 
 
 def tensor_divergence(t: TensorField, ws: SpectralWorkspace) -> VectorField:
     """Row divergence ``(div T)_m = sum_l d_l T_{lm}`` of a tensor field."""
     require_same_grid(t, grid=ws.grid)
-    dim = ws.grid.dimension
-    out = []
-    for m in range(dim):
-        acc = 0.0
-        for l in range(dim):
-            acc = acc + 1j * ws.k_deriv[l] * ws.forward(t.components[l][m].values)
-        out.append(ws.inverse(acc))
-    return VectorField.from_arrays(out, ws.grid)
-
-
-def _leray_hats(hats: list[np.ndarray], ws: SpectralWorkspace) -> list[np.ndarray]:
-    dot = sum(ws.k_deriv[j] * hats[j] for j in range(len(hats)))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(ws.k2_deriv > 0.0, dot / np.where(ws.k2_deriv > 0, ws.k2_deriv, 1.0), 0.0)
-    return [hats[j] - ws.k_deriv[j] * scale for j in range(len(hats))]
+    return VectorField(ws.inverse(_div_hat(ws.forward(t.values), ws)), ws.grid)
 
 
 def leray_project(v: VectorField, ws: SpectralWorkspace) -> VectorField:
     """Project onto divergence-free fields; the mean mode passes through."""
     require_same_grid(v, grid=ws.grid)
-    hats = _leray_hats(_hat_components(v, ws), ws)
-    return VectorField.from_arrays([ws.inverse(h) for h in hats], ws.grid)
-
-
-def _parseval_weights(ws: SpectralWorkspace) -> np.ndarray:
-    w = np.full(ws.k2.shape, 2.0)
-    w[..., 0] = 1.0
-    if ws.grid.resolution[-1] % 2 == 0:
-        w[..., -1] = 1.0
-    return w
+    return VectorField(ws.inverse(_leray_hat(ws.forward(v.values), ws)), ws.grid)
 
 
 def relative_divergence(v: VectorField, ws: SpectralWorkspace) -> float:
     """Spectral divergence content relative to the gradient content of ``v``."""
     require_same_grid(v, grid=ws.grid)
-    hats = _hat_components(v, ws)
-    w = _parseval_weights(ws)
-    div_hat = sum(ws.k_deriv[j] * hats[j] for j in range(len(hats)))
-    num = np.sum(w * np.abs(div_hat) ** 2)
-    den = np.sum(w * ws.k2_deriv * sum(np.abs(h) ** 2 for h in hats))
-    if den == 0.0:
-        return 0.0
-    return float(np.sqrt(num / den))
+    return _relative_divergence_hat(ws.forward(v.values), ws)
 
 
 def heat_convolve(f, t: float, ws: SpectralWorkspace):
@@ -176,18 +198,10 @@ def heat_convolve(f, t: float, ws: SpectralWorkspace):
         raise ValueError(f"heat time must be nonnegative, got {t}")
     if t == 0.0:
         return f
-    mult = np.exp(-t * ws.k2)
-
-    def apply(values: np.ndarray) -> np.ndarray:
-        return ws.inverse(mult * ws.forward(values))
-
-    if isinstance(f, ScalarField):
-        require_same_grid(f, grid=ws.grid)
-        return ScalarField(apply(f.values), ws.grid)
-    if isinstance(f, VectorField):
-        require_same_grid(f, grid=ws.grid)
-        return VectorField.from_arrays([apply(c.values) for c in f.components], ws.grid)
-    raise TypeError(f"heat_convolve expects a scalar or vector field, got {type(f)!r}")
+    if not isinstance(f, (ScalarField, VectorField)):
+        raise TypeError(f"heat_convolve expects a scalar or vector field, got {type(f)!r}")
+    require_same_grid(f, grid=ws.grid)
+    return type(f)(ws.inverse(_heat_multiplier(t, ws) * ws.forward(f.values)), ws.grid)
 
 
 def duhamel_accumulate(hat_at_node, tg: TimeGrid, ws: SpectralWorkspace) -> np.ndarray:
@@ -200,7 +214,7 @@ def duhamel_accumulate(hat_at_node, tg: TimeGrid, ws: SpectralWorkspace) -> np.n
     """
     dim = ws.grid.dimension
     out = np.zeros((tg.steps + 1, dim) + ws.grid.shape)
-    decay = np.exp(-tg.dt * ws.k2)
+    decay = _heat_multiplier(tg.dt, ws)
     acc = np.zeros((dim,) + ws.k2.shape, dtype=complex)
     prev = np.asarray(hat_at_node(0))
     half = 0.5 * tg.dt
@@ -208,8 +222,7 @@ def duhamel_accumulate(hat_at_node, tg: TimeGrid, ws: SpectralWorkspace) -> np.n
         cur = np.asarray(hat_at_node(i))
         acc *= decay
         acc += half * (decay * prev + cur)
-        for m in range(dim):
-            out[i, m] = ws.inverse(acc[m])
+        out[i] = ws.inverse(acc)
         prev = cur
     return out
 
@@ -219,11 +232,8 @@ def duhamel_force(force: SpaceTimeField, tg: TimeGrid, ws: SpectralWorkspace) ->
     require_same_grid(force, grid=ws.grid)
     if force.tg != tg:
         raise ValueError("force history and time grid disagree")
-
-    def hat(i: int):
-        return [ws.forward(force.data[i, m]) for m in range(ws.grid.dimension)]
-
-    return SpaceTimeField(duhamel_accumulate(hat, tg, ws), tg, ws.grid)
+    return SpaceTimeField(duhamel_accumulate(lambda i: ws.forward(force.data[i]), tg, ws),
+                          tg, ws.grid)
 
 
 def default_radius_ladder(grid: GridSpec, count: int = 12) -> tuple[float, ...]:
@@ -282,16 +292,16 @@ def maximal_function(f: ScalarField, radii) -> ScalarField:
                 avg = fftconvolve(fa, kernel, mode="same") / count
             np.maximum(out, avg, out=out)
     else:
+        ws = make_workspace(f.grid)
         dist = _torus_offset_distance(f.grid)
-        fhat = sfft.rfftn(fa, workers=worker_count())
+        fhat = ws.forward(fa)
         for r in radii:
             mask = (dist <= r).astype(float)
             count = int(mask.sum())
             if count == 1:
                 avg = fa
             else:
-                khat = sfft.rfftn(mask, workers=worker_count())
-                avg = sfft.irfftn(fhat * khat, s=f.grid.shape, workers=worker_count()) / count
+                avg = ws.inverse(fhat * ws.forward(mask)) / count
             np.maximum(out, avg, out=out)
     return ScalarField(out, f.grid)
 
@@ -329,13 +339,6 @@ def riesz_potential_direct(f: ScalarField, sigma: float) -> ScalarField:
         kernel = grid.cell_volume * dist2 ** (0.5 * (sigma - grid.dimension))
     kernel[center] = _diagonal_cell_integral(grid, sigma)
     return ScalarField(fftconvolve(np.abs(f.values), kernel, mode="same"), grid)
-
-
-def riesz_potential_1d(psi: ScalarField, sigma: float) -> ScalarField:
-    """One-dimensional fractional integral on an interval, zero extension."""
-    if psi.grid.dimension != 1:
-        raise ValueError("expected a one-dimensional field")
-    return riesz_potential_direct(psi, sigma)
 
 
 def grad_heat_kernel_defect(t: float, x) -> float:
@@ -388,11 +391,9 @@ def radial_majorant_defect(phi: ScalarField, f: ScalarField) -> float:
     if np.any(outside) and float(sorted_vals[outside].max(initial=0.0)) > 1e-12 * peak:
         raise RadialOrderError("kernel support exceeds half the box extent")
 
-    workers = worker_count()
-    fa = np.abs(f.values)
-    fhat = sfft.rfftn(fa, workers=workers)
-    conv = grid.cell_volume * sfft.irfftn(
-        sfft.rfftn(rolled, workers=workers) * fhat, s=grid.shape, workers=workers)
+    ws = make_workspace(grid)
+    fhat = ws.forward(np.abs(f.values))
+    conv = grid.cell_volume * ws.inverse(ws.forward(rolled) * fhat)
     l1 = grid.cell_volume * float(rolled.sum())
 
     support = sorted_dist[sorted_vals > 1e-13 * peak]
@@ -405,8 +406,8 @@ def radial_majorant_defect(phi: ScalarField, f: ScalarField) -> float:
     for r in radii:
         mask = (shell_key == r).astype(float)
         count += int(mask.sum())
-        ball_hat += sfft.rfftn(mask, workers=workers)
-        cum = sfft.irfftn(ball_hat * fhat, s=grid.shape, workers=workers)
+        ball_hat += ws.forward(mask)
+        cum = ws.inverse(ball_hat * fhat)
         np.maximum(maximal, cum / count, out=maximal)
 
     denom = l1 * maximal

@@ -463,6 +463,21 @@ class TestFixedPoint:
                              tg, g)
         assert regime_norm(gap, cfg).value < 1e-10
 
+    def test_thread_count_leaves_the_solution_bit_identical(self, monkeypatch):
+        g = torus()
+        tg = TimeGrid(1.0, 16)
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("VARNS_THREADS", threads)
+            assert make_workspace(g).workers == int(threads)
+            cfg = thm1_config(g, tg, u0=two_mode_u0(g, 0.5))
+            runs.append(picard_solve(cfg, c_b=0.05))
+        one, two = runs
+        assert one.converged and len(one.increments) > 1
+        assert one.final.data.tobytes() == two.final.data.tobytes()
+        assert one.iterates_norms == two.iterates_norms
+        assert one.increments == two.increments
+
     def test_small_data_run_contracts(self):
         g = torus()
         tg = TimeGrid(1.0, 16)
