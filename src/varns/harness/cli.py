@@ -40,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="JSON exponent descriptor or binary sample file")
     norm.add_argument("--mixed", type=float, default=None, metavar="FRAK_P",
                       help="also take the max with this constant-exponent norm")
-    norm.add_argument("--tol", type=float, default=1e-8)
+    norm.add_argument("--tol", type=float, default=1e-8,
+                      help="relative tolerance of the Luxemburg norm")
 
     verify = sub.add_parser("verify", help="run a campaign from a JSON config")
     verify.add_argument("--config", required=True)

@@ -65,7 +65,8 @@ class SolverConfig:
     ``p`` is the spatial exponent field for ``thm1`` (on the flow grid) or
     the temporal one for ``thm2`` (on a 1d grid over ``[0, T]`` with one
     cell per time step).  ``u0`` is projected divergence-free on
-    construction.
+    construction.  ``tol_norm`` is the relative tolerance of every
+    Luxemburg norm the run takes.
     """
 
     regime: str

@@ -2,9 +2,10 @@
 
 The modular of a field ``f`` against an exponent field ``p`` is the
 quadrature of ``|f(x)|^p(x)``.  The Luxemburg norm is the smallest positive
-scale ``lam`` with ``modular(f / lam) <= 1``; since the modular is strictly
-decreasing in ``lam`` for nonzero ``f``, a bracketed bisection computes it
-to any requested half-width.
+scale ``lam`` with ``modular(f / lam) <= 1``.  For nonzero ``f`` the log of
+the modular is convex and decreasing in ``log(lam)``, so a monotone Newton
+solve in ``log(lam)`` computes the norm with a certified half-width relative
+to its value, at any scale.
 """
 from __future__ import annotations
 
@@ -20,11 +21,11 @@ from .fields import (
     require_same_grid,
 )
 
-_BRACKET_CAP = 200
+_MAX_STEPS = 100
 
 
 class BisectionError(RuntimeError):
-    """Norm bisection failed to bracket or converge; input scale is pathological."""
+    """The Luxemburg solve could not certify a bracket; input scale or tolerance is pathological."""
 
 
 class UndefinedRatioError(ZeroDivisionError):
@@ -58,62 +59,57 @@ def classical_norm(f: ScalarField, q: float) -> float:
 
 
 def luxemburg_norm(f: ScalarField, p: ExponentField, tol: float = 1e-8) -> NormValue:
-    """Luxemburg norm of ``f`` for the exponent field ``p``.
+    """Luxemburg norm of ``f`` for the exponent field ``p``, to relative tolerance ``tol``.
 
-    Returns exactly zero for the zero field.  Otherwise brackets the unit
-    modular level by doubling/halving from a constant-exponent seed and
-    bisects until the bracket half-width is at most ``tol``.
+    Returns exactly zero for the zero field.  Otherwise solves
+    ``G(s) = log modular(f / e^s) = 0`` for ``s = log(lam)``.  ``G`` is a
+    log-sum-exp of affine functions of ``s``, so it is convex and decreasing
+    with slope in ``[-p_plus, -p_minus]``.  Newton steps started at
+    ``min(G(0) / p_minus, G(0) / p_plus)``, which that slope bound places
+    left of the root, climb to it without passing it.  Every step is at
+    least ``tol / 8``, so once a Newton step falls below that, the next
+    point lands past the root and certifies an upper end.  The value is the
+    midpoint of the certified bracket in ``lam`` and the tolerance its
+    half-width, at most ``tol * value``.
     """
     require_same_grid(f, p)
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     a = np.abs(f.values)
-    if not a.any():
+    live = a > 0.0
+    if not live.any():
         return NormValue(0.0, "luxemburg", 0.0)
+    log_a, pexp = np.log(a[live]), p.samples[live]
     w = f.grid.cell_volume
-    pexp = p.samples
 
-    def rho(lam: float) -> float:
-        with np.errstate(over="ignore"):
-            return float(w * np.sum((a / lam) ** pexp))
+    def log_modular(s: float) -> tuple[float, float]:
+        z = pexp * (log_a - s)
+        top = z.max()
+        e = np.exp(z - top)
+        total = e.sum()
+        return float(top + np.log(w * total)), float(-(pexp * e).sum() / total)
 
-    seed = float((w * np.sum(a ** p.p_minus)) ** (1.0 / p.p_minus))
-    if not np.isfinite(seed) or seed <= 0.0:
-        seed = float(np.max(a))
-    if not np.isfinite(seed) or seed <= 0.0:
-        raise BisectionError("could not seed the norm bracket; field scale is pathological")
-
-    r = rho(seed)
-    if r == 1.0:
-        return NormValue(seed, "luxemburg", 0.0)
-    if r > 1.0:
-        lo, hi = seed, seed
-        for _ in range(_BRACKET_CAP):
-            hi *= 2.0
-            if rho(hi) <= 1.0:
-                break
+    g0, _ = log_modular(0.0)
+    if g0 == 0.0:
+        return NormValue(1.0, "luxemburg", 0.0)
+    # a certifying step well inside tol keeps the midpoint's bias there too,
+    # so norms of f and c * f agree to better than tol
+    gap = 0.125 * tol
+    s = min(g0 / p.p_minus, g0 / p.p_plus)
+    lo, hi = -np.inf, np.inf
+    for _ in range(_MAX_STEPS):
+        g, slope = log_modular(s)
+        if g > 0.0:
+            lo, s = s, s + max(g / -slope, gap)
         else:
-            raise BisectionError("failed to bracket the norm from above")
-    else:
-        lo, hi = seed, seed
-        for _ in range(_BRACKET_CAP):
-            lo /= 2.0
-            if rho(lo) > 1.0:
-                break
-        else:
-            raise BisectionError("failed to bracket the norm from below")
-
-    for _ in range(_BRACKET_CAP):
-        if 0.5 * (hi - lo) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if rho(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    else:
-        raise BisectionError(f"bisection did not reach half-width {tol}")
-    return NormValue(0.5 * (lo + hi), "luxemburg", 0.5 * (hi - lo))
+            hi = s
+        # the slack absorbs rounding in lo + gap
+        if hi - lo <= 1.5 * gap:
+            lam = float(np.exp(lo))
+            half = 0.5 * lam * float(np.expm1(hi - lo))
+            return NormValue(lam + half, "luxemburg", half)
+        s = min(s, hi - gap)
+    raise BisectionError(f"could not certify the norm to relative tolerance {tol}")
 
 
 def mixed_norm(f: ScalarField, p: ExponentField, frak_p: float,
@@ -185,9 +181,7 @@ def unit_function_norm(T: float, p: ExponentField, tol: float = 1e-8) -> NormVal
         raise ValueError(
             f"grid extent {p.grid.extents[0]} does not cover the requested horizon {T}"
         )
-    ones = ScalarField(np.ones(p.grid.shape), p.grid)
-    out = luxemburg_norm(ones, p, tol)
-    return NormValue(out.value, "luxemburg", out.tolerance)
+    return luxemburg_norm(ScalarField(np.ones(p.grid.shape), p.grid), p, tol)
 
 
 def embedding_defect(f: ScalarField, p1: ExponentField, p2: ExponentField,

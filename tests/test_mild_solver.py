@@ -518,8 +518,8 @@ class TestFixedPoint:
         assert len(res.increments) >= 1
 
     def test_explosive_data_fails_loudly(self):
-        # the squared iterates outgrow what the norm bracket can resolve
-        # long before any float overflows, so the run must abort, not drift
+        # each iterate squares the size of the last, so the values overflow
+        # within the allowed iterates and the run must abort, not drift
         from varns import BisectionError
         g = torus(8)
         cfg = thm1_config(g, TimeGrid(1.0, 8), u0=two_mode_u0(g, 1e20), max_iters=8)

@@ -132,6 +132,18 @@ class TestLuxemburg:
         dn = modular(ScalarField(f.values / (out.value - 2 * out.tolerance), g), p)
         assert up <= 1.0 <= dn
 
+    def test_large_norms_are_certified(self):
+        # the float spacing of these norms exceeds 1e-8, so only a relative
+        # tolerance can be certified
+        g = line(8.0, 256, -4.0)
+        f = np.exp(-(g.axis_coords(0) ** 2))
+        p = make_exponent("radial-log", (2.0, 0.5), g)
+        unit = luxemburg_norm(ScalarField(f, g), p).value
+        for c in (1e10, 1e12):
+            out = luxemburg_norm(ScalarField(c * f, g), p)
+            assert out.value == pytest.approx(c * unit, rel=1e-8)
+            assert out.tolerance <= 1e-8 * out.value
+
     def test_bad_tolerance_rejected(self):
         g = big_line(res=64)
         p = make_exponent("constant", (2.0,), g)
@@ -352,7 +364,7 @@ def test_unit_ball_matches_unit_modular(seed):
     if out.value == 0.0:
         return
     scaled = ScalarField(f.values / out.value, f.grid)
-    # at the norm the modular sits at 1 up to bisection slack
+    # at the norm the modular sits at 1 up to the certified half-width
     assert modular(scaled, p) == pytest.approx(1.0, abs=1e-5)
 
 
@@ -365,6 +377,42 @@ def test_homogeneity(seed, c):
     a = luxemburg_norm(ScalarField(c * f.values, f.grid), p, tol).value
     b = abs(c) * luxemburg_norm(f, p, tol).value
     assert abs(a - b) <= tol * (1.0 + abs(c))
+
+
+def _assert_certified(f, p, out, tol):
+    assert 0.0 < out.tolerance <= tol * out.value
+    # the modular straddles 1 across the bracket, up to its own rounding
+    up = modular(ScalarField(f.values / (out.value + out.tolerance), f.grid), p)
+    dn = modular(ScalarField(f.values / (out.value - out.tolerance), f.grid), p)
+    assert up <= 1.0 + 1e-12 and dn >= 1.0 - 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(power=st.floats(min_value=-12.0, max_value=12.0),
+       q=st.floats(min_value=1.2, max_value=6.0),
+       tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
+def test_relative_tolerance_at_every_scale_constant_exponent(power, q, tol):
+    f, _ = _field_and_exponent(3)
+    f = ScalarField(10.0 ** power * f.values, f.grid)
+    p = make_exponent("constant", (q,), f.grid)
+    out = luxemburg_norm(f, p, tol)
+    exact = classical_norm(f, q)
+    assert abs(out.value - exact) <= tol * exact
+    _assert_certified(f, p, out, tol)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       power=st.floats(min_value=-12.0, max_value=12.0),
+       tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
+def test_relative_tolerance_at_every_scale_variable_exponent(seed, power, tol):
+    f, p = _field_and_exponent(seed)
+    c = 10.0 ** power
+    scaled = ScalarField(c * f.values, f.grid)
+    out = luxemburg_norm(scaled, p, tol)
+    unit = c * luxemburg_norm(f, p, tol).value
+    assert abs(out.value - unit) <= tol * unit
+    _assert_certified(scaled, p, out, tol)
 
 
 @settings(max_examples=25, deadline=None)
