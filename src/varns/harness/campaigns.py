@@ -4,6 +4,11 @@ Each target names one bounded-operator or norm-comparison statement.  A
 campaign evaluates the statement's ratio on every corpus element at every
 refinement level and reports the worst case; a configured bound encodes
 "finite and stable under refinement" rather than a sharp constant.
+
+Targets built on a real-space operator apply it to a whole level's corpus
+in one stacked call, so the spectra that depend only on the grid are built
+once per level; a single evaluation runs the same call on a stack of one,
+which gives the same bits.
 """
 from __future__ import annotations
 
@@ -21,9 +26,9 @@ from ..fields import PERIODIC, TRUNCATED, GridSpec, ScalarField, radial_distance
 from ..operators import (
     default_radius_ladder,
     grad_heat_kernel_defect,
-    maximal_function,
-    radial_majorant_defect,
-    riesz_potential_direct,
+    maximal_function_stack,
+    radial_majorant_defects,
+    riesz_potential_stack,
 )
 from ..varlp import (
     conjugate_pairing_lower_bound,
@@ -188,7 +193,7 @@ def _majorant_profile(grid: GridSpec) -> ScalarField:
     return ScalarField(np.exp(-((r / width) ** 2)), grid)
 
 
-def _eval_holder(cfg, grid, index, corpus) -> float:
+def _eval_holder(cfg, grid, index, corpus, image) -> float:
     f = corpus[index]
     g = corpus[(index + 1) % len(corpus)]
     q = _spec_exponent(cfg, grid, index)
@@ -201,7 +206,7 @@ def _eval_holder(cfg, grid, index, corpus) -> float:
     return num / (luxemburg_norm(f, q, cfg.tol).value * luxemburg_norm(g, r, cfg.tol).value)
 
 
-def _eval_duality(cfg, grid, index, corpus) -> float:
+def _eval_duality(cfg, grid, index, corpus, image) -> float:
     f = corpus[index]
     p = _spec_exponent(cfg, grid, index)
     lux = luxemburg_norm(f, p, cfg.tol).value
@@ -212,13 +217,10 @@ def _eval_duality(cfg, grid, index, corpus) -> float:
     return max(sup / lux, lux / sup)
 
 
-def _eval_maximal(cfg, grid, index, corpus) -> float:
+def _eval_maximal(cfg, grid, index, corpus, image) -> float:
     f = corpus[index]
     p = _spec_exponent(cfg, grid, index)
-    # fixed absolute rungs keep levels comparable; the one-cell rung makes
-    # the ladder exact at the small-radius end of the current level
-    radii = default_radius_ladder(cfg.grids[0]) + (0.49 * min(grid.spacings),)
-    mf = maximal_function(f, radii)
+    mf = ScalarField(image, grid)
     return luxemburg_norm(mf, p, cfg.tol).value / luxemburg_norm(f, p, cfg.tol).value
 
 
@@ -232,35 +234,35 @@ def _lifted_exponent(p: ExponentField, sigma: float, grid: GridSpec) -> Exponent
     return exponent_from_samples(1.0 / inv, grid, p_inf)
 
 
-def _eval_riesz_potential(cfg, grid, index, corpus) -> float:
+def _eval_riesz_potential(cfg, grid, index, corpus, image) -> float:
     f = corpus[index]
     p = _spec_exponent(cfg, grid, index)
     q = _lifted_exponent(p, cfg.sigma, grid)
-    pot = riesz_potential_direct(f, cfg.sigma)
+    pot = ScalarField(image, grid)
     return luxemburg_norm(pot, q, cfg.tol).value / luxemburg_norm(f, p, cfg.tol).value
 
 
-def _eval_proposition1(cfg, grid, index, corpus) -> float:
+def _eval_proposition1(cfg, grid, index, corpus, image) -> float:
     f = corpus[index]
     pe = _spec_exponent(cfg, grid, index)
     rho = scale_exponent(pe, 2.0)
-    pot = riesz_potential_direct(f, cfg.sigma)
+    pot = ScalarField(image, grid)
     num = luxemburg_norm(pot, rho, cfg.tol).value
     return num / mixed_norm(f, pe, cfg.frak_p, cfg.tol).value
 
 
-def _eval_embedding(cfg, grid, index, corpus) -> float:
+def _eval_embedding(cfg, grid, index, corpus, image) -> float:
     f = corpus[index]
     p1 = _spec_exponent(cfg, grid, index)
     p2 = scale_exponent(p1, 1.5)
     return embedding_defect(f, p1, p2, cfg.tol)
 
 
-def _eval_radial_majorant(cfg, grid, index, corpus) -> float:
-    return radial_majorant_defect(_majorant_profile(grid), corpus[index])
+def _eval_radial_majorant(cfg, grid, index, corpus, image) -> float:
+    return image
 
 
-def _eval_grad_heat(cfg, grid, index, corpus) -> float:
+def _eval_grad_heat(cfg, grid, index, corpus, image) -> float:
     rng = np.random.default_rng((cfg.seed, index))
     t = 10.0 ** rng.uniform(-3.0, 1.0)
     jitter = rng.uniform()
@@ -270,7 +272,7 @@ def _eval_grad_heat(cfg, grid, index, corpus) -> float:
     return max(grad_heat_kernel_defect(t, [r]) for r in radii)
 
 
-def _eval_lemma_unit_norm(cfg, grid, index, corpus) -> float:
+def _eval_lemma_unit_norm(cfg, grid, index, corpus, image) -> float:
     rng = np.random.default_rng((cfg.seed, index))
     horizon = 8.0 ** rng.uniform(-1.0, 1.0)
     swing = rng.uniform(0.3, 1.1)
@@ -294,6 +296,44 @@ _EVALUATORS = {
 }
 
 
+def _maximal_images(cfg, grid, values):
+    # fixed absolute rungs keep levels comparable; the one-cell rung makes
+    # the ladder exact at the small-radius end of the current level
+    radii = default_radius_ladder(cfg.grids[0]) + (0.49 * min(grid.spacings),)
+    return maximal_function_stack(values, grid, radii)
+
+
+def _potential_images(cfg, grid, values):
+    return riesz_potential_stack(values, grid, cfg.sigma)
+
+
+def _majorant_ratios(cfg, grid, values):
+    return radial_majorant_defects(_majorant_profile(grid), values)
+
+
+# targets whose ratios rest on a real-space operator, applied to stacks
+_STACKED_OPERATORS = {
+    "maximal": _maximal_images,
+    "riesz_potential": _potential_images,
+    "proposition1": _potential_images,
+    "radial_majorant": _majorant_ratios,
+}
+
+
+def _images(cfg: CampaignConfig, level: int, corpus, indices):
+    """The target operator applied to the chosen elements in one stacked
+    call, one image per element; ``None`` each for targets without one."""
+    apply = _STACKED_OPERATORS.get(cfg.target)
+    if apply is None:
+        return [None] * len(indices)
+    values = np.stack([corpus[i].values for i in indices])
+    return apply(cfg, cfg.grids[level], values)
+
+
+def _ratio(cfg: CampaignConfig, level: int, index: int, corpus, image) -> float:
+    return float(_EVALUATORS[cfg.target](cfg, cfg.grids[level], index, corpus, image))
+
+
 def _level_corpus(cfg: CampaignConfig, level: int):
     if cfg.target in _SCAN_TARGETS:
         return None
@@ -311,7 +351,8 @@ def evaluate_element(cfg: CampaignConfig, level: int, index: int,
         raise IndexError(f"element {index} outside the corpus")
     if corpus is None:
         corpus = _level_corpus(cfg, level)
-    return float(_EVALUATORS[cfg.target](cfg, cfg.grids[level], index, corpus))
+    (image,) = _images(cfg, level, corpus, [index])
+    return _ratio(cfg, level, index, corpus, image)
 
 
 def run_campaign(cfg: CampaignConfig) -> InequalityReport:
@@ -321,10 +362,14 @@ def run_campaign(cfg: CampaignConfig) -> InequalityReport:
     worst = WorstCase(0, 0, -np.inf)
     for level in range(cfg.refinement_levels):
         corpus = _level_corpus(cfg, level)
+        try:
+            images = _images(cfg, level, corpus, range(cfg.corpus_size))
+        except Exception as exc:
+            raise CampaignElementError(f"target {cfg.target}, level {level}: {exc}") from exc
         ratios = []
         for index in range(cfg.corpus_size):
             try:
-                ratio = evaluate_element(cfg, level, index, corpus)
+                ratio = _ratio(cfg, level, index, corpus, images[index])
             except Exception as exc:
                 raise CampaignElementError(
                     f"target {cfg.target}, level {level}, element {index}: {exc}"

@@ -14,6 +14,8 @@ comes from :mod:`varns.operators`.
 """
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +46,15 @@ from .varlp import NormValue, luxemburg_norm, mixed_norm
 _DIV_TOL = 1e-8
 _LADDER_POINTS = 16
 _LADDER_SPAN = 64.0  # smallest horizon candidate is T / span
+_LIVE_STACKS = 3  # (steps + 1, 3, *grid) stacks a solve holds at its peak
+
+
+def _physical_ram() -> int | None:
+    """Bytes of physical memory, or ``None`` where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 class SmallnessError(RuntimeError):
@@ -92,6 +103,7 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        self._check_memory()
         if self.regime == "thm1":
             if self.p.grid != grid:
                 raise ValueError("thm1 exponent field must live on the flow grid")
@@ -107,6 +119,15 @@ class SolverConfig:
             raise TypeError(f"unsupported force specification {type(self.force_spec)!r}")
         ws = make_workspace(grid)
         object.__setattr__(self, "u0", leray_project(self.u0, ws))
+
+    def _check_memory(self):
+        stack = 8 * (self.tg.steps + 1) * 3 * math.prod(self.u0.grid.shape)
+        ram = _physical_ram()
+        if ram is not None and _LIVE_STACKS * stack > ram:
+            raise ValueError(
+                f"a solve on the {self.u0.grid.shape} grid with {self.tg.steps} time steps "
+                f"needs about {_LIVE_STACKS * stack} bytes ({_LIVE_STACKS} space-time stacks "
+                f"of {stack}), more than the {ram} bytes of RAM available")
 
     def _check_thm2_exponents(self):
         p, q = self.p, self.q

@@ -12,9 +12,17 @@ plane zeroed, the standard convention that keeps real fields real and
 makes the first-order identities exact on band-limited data; even symbols
 such as the heat multiplier use the full wavenumbers.
 
-Kernel quadrature (the fractional-integral operators) runs on truncated
-boxes with the field extended by zero, midpoint weights off the diagonal
-and a closed-form cell integral on it.
+The real-space operators (maximal averages, the fractional integral and
+the radial-majorant check) take stacks as well: ``(..., *grid.shape)``
+values whose leading axes run over independent fields, with a thin
+single-field wrapper over each.  Every spectrum that depends only on the
+grid (ball masks, offset shells, the fractional kernel) is built once per
+stacked call and applied to the whole stack.  On truncated boxes the field
+is extended by zero and convolved circularly on the smallest fast box whose
+wrap-around lands on the extension only: ``n + reach`` cells per axis, with
+``reach`` the kernel's half-width in cells.  Kernel quadrature (the
+fractional integral) uses midpoint weights off the diagonal and a
+closed-form cell integral on it.
 """
 from __future__ import annotations
 
@@ -24,7 +32,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.signal import fftconvolve
 
 from .fields import (
     PERIODIC,
@@ -35,6 +42,7 @@ from .fields import (
     TensorField,
     TimeGrid,
     VectorField,
+    _check_values,
     require_same_grid,
 )
 
@@ -44,11 +52,18 @@ class RadialOrderError(ValueError):
 
 
 def worker_count() -> int:
-    """FFT worker cap, from the VARNS_THREADS environment variable."""
+    """FFT worker cap, from the VARNS_THREADS environment variable (default 1).
+
+    A value that is not an integer of at least 1 raises ``ValueError``.
+    """
+    raw = os.environ.get("VARNS_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("VARNS_THREADS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"VARNS_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 @dataclass(frozen=True)
@@ -245,26 +260,74 @@ def default_radius_ladder(grid: GridSpec, count: int = 12) -> tuple[float, ...]:
     return tuple(float(r0 * (r1 / r0) ** (i / (count - 1))) for i in range(count))
 
 
-def _ball_kernel_truncated(grid: GridSpec, radius: float) -> tuple[np.ndarray, int]:
-    h = grid.spacings
-    half = [int(np.floor(radius / h[a])) for a in range(grid.dimension)]
-    offsets = np.meshgrid(
-        *[np.arange(-k, k + 1) * h[a] for a, k in enumerate(half)],
-        indexing="ij", sparse=True,
-    )
-    dist2 = sum(o * o for o in offsets)
-    mask = dist2 <= radius * radius
-    return mask.astype(float), int(np.count_nonzero(mask))
-
-
-def _torus_offset_distance(grid: GridSpec) -> np.ndarray:
+def _offset_dist2(shape: tuple[int, ...], spacings: tuple[float, ...]) -> np.ndarray:
+    """Squared torus distance of every node of a periodic box from node 0."""
     axes = []
-    for a in range(grid.dimension):
-        n, h = grid.resolution[a], grid.spacings[a]
+    for n, h in zip(shape, spacings):
         m = np.arange(n, dtype=float)
         axes.append(np.minimum(m, n - m) * h)
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    return np.sqrt(sum(d * d for d in mesh))
+    return sum(d * d for d in mesh)
+
+
+def _stack(values, grid: GridSpec) -> np.ndarray:
+    """Validated float stack whose trailing axes are the grid axes."""
+    arr = np.asarray(values, dtype=float)
+    return _check_values(arr, grid, "stack", arr.shape[:max(arr.ndim - grid.dimension, 0)])
+
+
+def _alias_free_transforms(grid: GridSpec, reach):
+    """Forward and inverse real FFTs of a zero-extended stack on the smallest
+    fast box with ``n + reach`` cells per axis.  A kernel reaching ``reach``
+    cells then wraps onto the zero extension only, so the circular
+    convolution equals the linear one on the grid."""
+    box = tuple(sfft.next_fast_len(n + k, real=True) for n, k in zip(grid.resolution, reach))
+    axes = tuple(range(-grid.dimension, 0))
+    crop = (...,) + tuple(slice(0, n) for n in grid.resolution)
+    workers = worker_count()
+
+    def forward(values):
+        return sfft.rfftn(values, s=box, axes=axes, workers=workers)
+
+    def inverse(hat):
+        return sfft.irfftn(hat, s=box, axes=axes, workers=workers)[crop]
+    return box, forward, inverse
+
+
+def maximal_function_stack(values, grid: GridSpec, radii) -> np.ndarray:
+    """:func:`maximal_function` of every field in a ``(..., *grid.shape)`` stack.
+
+    ``|f|`` is transformed once per field and each ball mask once per call;
+    the inverse transforms run field by field to bound the memory.
+    """
+    radii = [float(r) for r in radii]
+    if not radii:
+        raise ValueError("radius ladder is empty")
+    rmax = 0.5 * min(grid.extents)
+    for r in radii:
+        if r <= 0 or r > rmax * (1 + 1e-12):
+            raise ValueError(f"radius {r} outside (0, {rmax}]")
+    fa = np.abs(_stack(values, grid))
+    if grid.topology == TRUNCATED:
+        reach = [int(np.floor(max(radii) / h)) for h in grid.spacings]
+        box, forward, inverse = _alias_free_transforms(grid, reach)
+    else:
+        ws = make_workspace(grid)
+        box, forward, inverse = grid.shape, ws.forward, ws.inverse
+    dist2 = _offset_dist2(box, grid.spacings)
+    fhat = forward(fa)
+    out = np.zeros(fa.shape)
+    batch = list(np.ndindex(fa.shape[:fa.ndim - grid.dimension]))
+    for r in radii:
+        mask = (dist2 <= r * r).astype(float)
+        count = int(np.count_nonzero(mask))
+        if count == 1:
+            np.maximum(out, fa, out=out)
+            continue
+        mask_hat = forward(mask)
+        for i in batch:
+            np.maximum(out[i], inverse(fhat[i] * mask_hat) / count, out=out[i])
+    return out
 
 
 def maximal_function(f: ScalarField, radii) -> ScalarField:
@@ -274,36 +337,7 @@ def maximal_function(f: ScalarField, radii) -> ScalarField:
     truncated boxes read the field as zero outside, periodic boxes wrap.
     Radii must stay within half the smallest box extent.
     """
-    radii = [float(r) for r in radii]
-    if not radii:
-        raise ValueError("radius ladder is empty")
-    rmax = 0.5 * min(f.grid.extents)
-    for r in radii:
-        if r <= 0 or r > rmax * (1 + 1e-12):
-            raise ValueError(f"radius {r} outside (0, {rmax}]")
-    fa = np.abs(f.values)
-    out = np.zeros(f.grid.shape)
-    if f.grid.topology == TRUNCATED:
-        for r in radii:
-            kernel, count = _ball_kernel_truncated(f.grid, r)
-            if count == 1:
-                avg = fa
-            else:
-                avg = fftconvolve(fa, kernel, mode="same") / count
-            np.maximum(out, avg, out=out)
-    else:
-        ws = make_workspace(f.grid)
-        dist = _torus_offset_distance(f.grid)
-        fhat = ws.forward(fa)
-        for r in radii:
-            mask = (dist <= r).astype(float)
-            count = int(mask.sum())
-            if count == 1:
-                avg = fa
-            else:
-                avg = ws.inverse(fhat * ws.forward(mask)) / count
-            np.maximum(out, avg, out=out)
-    return ScalarField(out, f.grid)
+    return ScalarField(maximal_function_stack(f.values, f.grid, radii), f.grid)
 
 
 def _diagonal_cell_integral(grid: GridSpec, sigma: float) -> float:
@@ -315,6 +349,28 @@ def _diagonal_cell_integral(grid: GridSpec, sigma: float) -> float:
     return 4.0 * np.pi * r_eq**sigma / sigma
 
 
+def riesz_potential_stack(values, grid: GridSpec, sigma: float) -> np.ndarray:
+    """:func:`riesz_potential_direct` of every field in a ``(..., *grid.shape)``
+    stack; the kernel is built and transformed once per call, and the
+    fields are convolved one by one to bound the memory."""
+    if grid.topology != TRUNCATED:
+        raise ValueError("the fractional integral runs on truncated boxes")
+    sigma = float(sigma)
+    if not 0.0 < sigma < grid.dimension:
+        raise ValueError(f"order must lie in (0, {grid.dimension}), got {sigma}")
+    fa = np.abs(_stack(values, grid))
+    box, forward, inverse = _alias_free_transforms(grid, [n - 1 for n in grid.resolution])
+    dist2 = _offset_dist2(box, grid.spacings)
+    with np.errstate(divide="ignore"):
+        kernel = grid.cell_volume * dist2 ** (0.5 * (sigma - grid.dimension))
+    kernel[(0,) * grid.dimension] = _diagonal_cell_integral(grid, sigma)
+    kernel_hat = forward(kernel)
+    out = np.empty(fa.shape)
+    for i in np.ndindex(fa.shape[:fa.ndim - grid.dimension]):
+        out[i] = inverse(forward(fa[i]) * kernel_hat)
+    return out
+
+
 def riesz_potential_direct(f: ScalarField, sigma: float) -> ScalarField:
     """Fractional integral ``int |f(y)| / |x - y|^(n - sigma) dy`` on a box.
 
@@ -323,22 +379,7 @@ def riesz_potential_direct(f: ScalarField, sigma: float) -> ScalarField:
     three dimensions).  Note the absolute value: the operator is positive
     and sublinear, not linear.
     """
-    grid = f.grid
-    if grid.topology != TRUNCATED:
-        raise ValueError("the fractional integral runs on truncated boxes")
-    sigma = float(sigma)
-    if not 0.0 < sigma < grid.dimension:
-        raise ValueError(f"order must lie in (0, {grid.dimension}), got {sigma}")
-    offsets = np.meshgrid(
-        *[np.arange(1 - n, n) * h for n, h in zip(grid.resolution, grid.spacings)],
-        indexing="ij", sparse=True,
-    )
-    dist2 = sum(o * o for o in offsets)
-    center = tuple(n - 1 for n in grid.resolution)
-    with np.errstate(divide="ignore"):
-        kernel = grid.cell_volume * dist2 ** (0.5 * (sigma - grid.dimension))
-    kernel[center] = _diagonal_cell_integral(grid, sigma)
-    return ScalarField(fftconvolve(np.abs(f.values), kernel, mode="same"), grid)
+    return ScalarField(riesz_potential_stack(f.values, f.grid, sigma), f.grid)
 
 
 def grad_heat_kernel_defect(t: float, x) -> float:
@@ -357,20 +398,18 @@ def grad_heat_kernel_defect(t: float, x) -> float:
     return float(r / (2.0 * t) * g * (t * t + r2 * r2))
 
 
-def radial_majorant_defect(phi: ScalarField, f: ScalarField) -> float:
-    """Worst ratio of ``|phi * f|`` against ``L1(phi)`` times the maximal average.
+def radial_majorant_defects(phi: ScalarField, values) -> np.ndarray:
+    """:func:`radial_majorant_defect` of every field in a ``(..., *grid.shape)``
+    stack against one kernel; returns the ratios in the stack's leading shape.
 
-    ``phi`` must be nonnegative, radially nonincreasing about the box
-    center, and supported within half the box extent; the convolution is
-    circular.  The maximal average runs over every offset shell inside the
-    support, which makes the layer-cake comparison exact up to roundoff.
+    The kernel checks and the cumulative shell spectra run once per call.
     """
-    require_same_grid(phi, f)
     grid = phi.grid
     if grid.topology != PERIODIC:
         raise ValueError("the majorant comparison runs on periodic grids")
     if any(n % 2 for n in grid.resolution):
         raise ValueError("resolutions must be even so the box center is a node")
+    fa = np.abs(_stack(values, grid))
     pv = phi.values
     if np.any(pv < 0):
         raise RadialOrderError("kernel must be nonnegative")
@@ -379,7 +418,7 @@ def radial_majorant_defect(phi: ScalarField, f: ScalarField) -> float:
         raise RadialOrderError("kernel is identically zero")
     rolled = np.roll(pv, [-(n // 2) for n in grid.resolution],
                      axis=tuple(range(grid.dimension)))
-    dist = _torus_offset_distance(grid)
+    dist = np.sqrt(_offset_dist2(grid.shape, grid.spacings))
     order = np.argsort(dist.ravel(), kind="stable")
     sorted_vals = rolled.ravel()[order]
     slack = 1e-9 * peak
@@ -392,7 +431,7 @@ def radial_majorant_defect(phi: ScalarField, f: ScalarField) -> float:
         raise RadialOrderError("kernel support exceeds half the box extent")
 
     ws = make_workspace(grid)
-    fhat = ws.forward(np.abs(f.values))
+    fhat = ws.forward(fa)
     conv = grid.cell_volume * ws.inverse(ws.forward(rolled) * fhat)
     l1 = grid.cell_volume * float(rolled.sum())
 
@@ -400,18 +439,35 @@ def radial_majorant_defect(phi: ScalarField, f: ScalarField) -> float:
     r_support = min(float(support.max()) if support.size else 0.0, rmax)
     shell_key = np.round(dist, 12)
     radii = np.unique(shell_key[shell_key <= np.round(r_support, 12)])
-    maximal = np.zeros(grid.shape)
-    ball_hat = np.zeros(fhat.shape, dtype=complex)
+    maximal = np.zeros(fa.shape)
+    ball_hat = np.zeros(ws.k2.shape, dtype=complex)
+    product = np.empty(fhat.shape, dtype=complex)
     count = 0
     for r in radii:
         mask = (shell_key == r).astype(float)
         count += int(mask.sum())
         ball_hat += ws.forward(mask)
-        cum = ws.inverse(ball_hat * fhat)
-        np.maximum(maximal, cum / count, out=maximal)
+        average = ws.inverse(np.multiply(ball_hat, fhat, out=product))
+        average /= count
+        np.maximum(maximal, average, out=maximal)
 
-    denom = l1 * maximal
-    live = denom > 0
-    if not np.any(live):
-        return 0.0
-    return float(np.max(np.abs(conv[live]) / denom[live]))
+    batch = fa.shape[:fa.ndim - grid.dimension]
+    conv = conv.reshape((-1,) + grid.shape)
+    denom = l1 * maximal.reshape((-1,) + grid.shape)
+    ratios = np.zeros(len(conv))
+    for i, live in enumerate(denom > 0):
+        if np.any(live):
+            ratios[i] = np.max(np.abs(conv[i][live]) / denom[i][live])
+    return ratios.reshape(batch)
+
+
+def radial_majorant_defect(phi: ScalarField, f: ScalarField) -> float:
+    """Worst ratio of ``|phi * f|`` against ``L1(phi)`` times the maximal average.
+
+    ``phi`` must be nonnegative, radially nonincreasing about the box
+    center, and supported within half the box extent; the convolution is
+    circular.  The maximal average runs over every offset shell inside the
+    support, which makes the layer-cake comparison exact up to roundoff.
+    """
+    require_same_grid(phi, f)
+    return float(radial_majorant_defects(phi, f.values))

@@ -308,6 +308,16 @@ class TestCampaignRuns:
         report = run_campaign(cfg)
         assert replay_worst_case(cfg, report.worst_case) == report.worst_case.ratio
 
+    @pytest.mark.parametrize("target", ["maximal", "proposition1", "radial_majorant"])
+    def test_single_evaluations_repeat_the_level_stack(self, target):
+        # a run applies the operator to each level's corpus as one stack, a
+        # replay to a stack of one; both must give the same bits
+        cfg = default_campaign_config(target, corpus_size=2, refinement_levels=2)
+        report = run_campaign(cfg)
+        assert replay_worst_case(cfg, report.worst_case) == report.worst_case.ratio
+        for level, row in enumerate(report.ratios):
+            assert [evaluate_element(cfg, level, i) for i in range(2)] == list(row)
+
     def test_runs_are_deterministic(self):
         cfg = default_campaign_config("lemma_unit_norm", corpus_size=4,
                                       refinement_levels=2)
@@ -328,6 +338,14 @@ class TestCampaignRuns:
             refinement_levels=1, corpus_kind="indicator-union")
         with pytest.raises(CampaignElementError,
                            match="target holder, level 0, element 0"):
+            run_campaign(cfg)
+        # a failure of the stacked operator names its level
+        cube = GridSpec(3, (4.0,) * 3, (8,) * 3, TRUNCATED, (-2.0,) * 3)
+        cfg = CampaignConfig(
+            target="proposition1", corpus_size=2, seed=5, grids=(cube,),
+            exponent_specs=(("constant", (1.5,)),), bound=10.0,
+            refinement_levels=1, sigma=3.0)
+        with pytest.raises(CampaignElementError, match="target proposition1, level 0: order"):
             run_campaign(cfg)
 
     def test_scan_targets_pass_at_defaults(self):
@@ -626,9 +644,9 @@ class TestCli:
     def test_thread_cap_parses_the_environment(self, monkeypatch):
         monkeypatch.setenv("VARNS_THREADS", "4")
         assert worker_count() == 4
-        monkeypatch.setenv("VARNS_THREADS", "abc")
-        assert worker_count() == 1
-        monkeypatch.setenv("VARNS_THREADS", "0")
-        assert worker_count() == 1
+        for bad in ("abc", "0", "-2", "1.5"):
+            monkeypatch.setenv("VARNS_THREADS", bad)
+            with pytest.raises(ValueError, match=repr(bad)):
+                worker_count()
         monkeypatch.delenv("VARNS_THREADS")
         assert worker_count() == 1

@@ -31,6 +31,7 @@ from varns import (
     relative_divergence,
     smallness_check,
 )
+from varns import mild_solver
 from varns.mild_solver import regime_norm
 
 TWO_PI = 2.0 * np.pi
@@ -147,6 +148,17 @@ class TestConfigValidation:
         g = torus(8)
         with pytest.raises(TypeError):
             thm1_config(g, TimeGrid(1.0, 8), force=np.zeros((3, 3)))
+
+    def test_oversized_solve_fails_before_allocating(self, monkeypatch):
+        g, tg = torus(8), TimeGrid(1.0, 8)
+        need = 3 * 8 * (8 + 1) * 3 * 8**3  # three float64 (steps+1, 3, 8, 8, 8) stacks
+        monkeypatch.setattr(mild_solver, "_physical_ram", lambda: need - 1)
+        with pytest.raises(ValueError, match=r"\(8, 8, 8\) grid with 8 time steps") as info:
+            thm1_config(g, tg)
+        assert f"{need} bytes" in str(info.value)
+        assert f"{need - 1} bytes of RAM" in str(info.value)
+        monkeypatch.setattr(mild_solver, "_physical_ram", lambda: need)
+        assert thm1_config(g, tg).tg == tg
 
 
 class TestInitialTerm:

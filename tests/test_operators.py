@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from varns import (
     PERIODIC,
@@ -18,10 +19,13 @@ from varns import (
     leray_project,
     make_workspace,
     maximal_function,
+    maximal_function_stack,
     radial_distance,
     radial_majorant_defect,
+    radial_majorant_defects,
     relative_divergence,
     riesz_potential_direct,
+    riesz_potential_stack,
     riesz_transform,
     tensor_divergence,
     SpaceTimeField,
@@ -171,6 +175,38 @@ class TestStackedTransforms:
             for j in range(4):
                 for m in range(3):
                     assert np.array_equal(back[j, m], ws.inverse(hats[j, m]))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_real_space_stacks_match_single_fields_bit_for_bit(self, monkeypatch, threads):
+        monkeypatch.setenv("VARNS_THREADS", threads)
+        rng = np.random.default_rng(16)
+        box = GridSpec(3, (6.0,) * 3, (12, 10, 12), TRUNCATED, (-3.0,) * 3)
+        for grid in (box, torus(12)):
+            stack = rng.standard_normal((2, 3) + grid.shape)
+            radii = (0.3, 1.2, 0.5 * min(grid.extents))
+            got = maximal_function_stack(stack, grid, radii)
+            for j, m in np.ndindex(2, 3):
+                one = maximal_function(ScalarField(stack[j, m], grid), radii).values
+                assert np.array_equal(got[j, m], one)
+        stack = rng.standard_normal((3,) + box.shape)
+        got = riesz_potential_stack(stack, box, 1.0)
+        for j in range(3):
+            one = riesz_potential_direct(ScalarField(stack[j], box), 1.0).values
+            assert np.array_equal(got[j], one)
+        g = GridSpec(3, (8.0,) * 3, (16,) * 3, PERIODIC, (-4.0,) * 3)
+        phi = ScalarField(np.exp(-((radial_distance(g) / 0.7) ** 2)), g)
+        stack = np.stack([smooth_random(g, 30 + j, modes=2).values for j in range(3)])
+        got = radial_majorant_defects(phi, stack)
+        assert got.shape == (3,)
+        for j in range(3):
+            assert got[j] == radial_majorant_defect(phi, ScalarField(stack[j], g))
+
+    def test_stacks_must_end_in_the_grid_shape(self):
+        g = GridSpec(1, (4.0,), (16,), TRUNCATED, (0.0,))
+        with pytest.raises(ValueError, match="shape"):
+            maximal_function_stack(np.ones((2, 15)), g, (0.5,))
+        with pytest.raises(ValueError, match="non-finite"):
+            riesz_potential_stack(np.full((2, 16), np.nan), g, 0.5)
 
     def test_workspace_follows_the_thread_setting(self, monkeypatch):
         g = torus(10)
@@ -384,6 +420,30 @@ class TestWindowedMaximalAverage:
         got = np.array([out.values[p] for p in points])
         assert np.max(np.abs(got - brute)) < 1e-10
 
+    @pytest.mark.parametrize("grid", [
+        GridSpec(1, (4.0,), (33,), TRUNCATED, (0.0,)),
+        GridSpec(3, (5.0, 6.0, 5.0), (11, 12, 10), TRUNCATED, (-2.5, -3.0, -2.5)),
+    ])
+    def test_truncated_matches_direct_summation(self, grid):
+        rng = np.random.default_rng(14)
+        f = ScalarField(rng.standard_normal(grid.shape), grid)
+        radii = (0.4, 0.9, 1.7, 0.5 * min(grid.extents))
+        fa = np.abs(f.values)
+        h = grid.spacings
+        want = np.zeros(grid.shape)
+        for r in radii:
+            half = [int(np.floor(r / h[a])) for a in range(grid.dimension)]
+            padded = np.pad(fa, [(k, k) for k in half])
+            total, count = np.zeros(grid.shape), 0
+            for off in np.ndindex(*[2 * k + 1 for k in half]):
+                if sum(((o - k) * ha) ** 2 for o, k, ha in zip(off, half, h)) > r * r:
+                    continue
+                count += 1
+                total += padded[tuple(slice(o, o + n) for o, n in zip(off, grid.shape))]
+            want = np.maximum(want, total / count)
+        got = maximal_function(f, radii).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
     def test_radius_ladder_shape(self):
         g = GridSpec(3, (6.0,) * 3, (12,) * 3, TRUNCATED, (-3.0,) * 3)
         ladder = default_radius_ladder(g)
@@ -414,6 +474,32 @@ class TestFractionalIntegral:
         x0 = x[idx]
         exact = 2.0 * (np.sqrt(x0) - np.sqrt(x0 - 1.0))
         assert abs(out.values[idx] - exact) < 1e-6
+
+    @pytest.mark.parametrize("grid, sigma", [
+        (GridSpec(1, (4.0,), (64,), TRUNCATED, (0.0,)), 0.5),
+        (GridSpec(1, (3.0,), (75,), TRUNCATED, (-1.0,)), 0.3),
+        (GridSpec(3, (2.0,) * 3, (12, 12, 12), TRUNCATED, (-1.0,) * 3), 2.0),
+        (GridSpec(3, (2.0, 3.0, 2.5), (9, 14, 11), TRUNCATED, (-1.0,) * 3), 1.0),
+    ])
+    def test_matches_the_linear_convolution(self, grid, sigma):
+        # reference: the kernel on the full (2n-1) offset box, convolved linearly
+        rng = np.random.default_rng(15)
+        f = ScalarField(rng.standard_normal(grid.shape), grid)
+        offsets = np.meshgrid(
+            *[np.arange(1 - n, n) * h for n, h in zip(grid.resolution, grid.spacings)],
+            indexing="ij", sparse=True)
+        dist2 = sum(o * o for o in offsets)
+        with np.errstate(divide="ignore"):
+            kernel = grid.cell_volume * dist2 ** (0.5 * (sigma - grid.dimension))
+        if grid.dimension == 1:
+            cell = 2.0 * (0.5 * grid.spacings[0]) ** sigma / sigma
+        else:
+            r_eq = (3.0 * grid.cell_volume / (4.0 * np.pi)) ** (1.0 / 3.0)
+            cell = 4.0 * np.pi * r_eq**sigma / sigma
+        kernel[tuple(n - 1 for n in grid.resolution)] = cell
+        want = fftconvolve(np.abs(f.values), kernel, mode="same")
+        got = riesz_potential_direct(f, sigma).values
+        assert np.max(np.abs(got - want) / want) <= 1e-13
 
     def test_zero_field_maps_to_zero(self):
         g = GridSpec(1, (4.0,), (64,), TRUNCATED, (0.0,))
