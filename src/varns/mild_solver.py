@@ -38,6 +38,7 @@ from .operators import (
     _leray_hat,
     _relative_divergence_hat,
     duhamel_accumulate,
+    duhamel_spectra,
     leray_project,
     make_workspace,
 )
@@ -190,51 +191,88 @@ def initial_term(u0: VectorField, force_spec, tg: TimeGrid,
     The forcing may be ``None``, a static tensor whose row divergence is
     the force, or a sampled space-time history.  Either way the resulting
     force must be divergence-free to ``1e-8`` relative or the call fails.
+    A static force is transformed once and a sampled one once per node.
+    At each node the heat flow of the data and the Duhamel accumulator of
+    :func:`duhamel_spectra` are summed in spectral space and inverse-
+    transformed once.
     """
     grid = ws.grid
     if u0.grid != grid:
         raise ValueError("data and workspace grids differ")
-    u0_hat = ws.forward(u0.values)
+    hats = _force_spectra(force_spec, tg, ws)
     data = np.empty((tg.steps + 1, grid.dimension) + grid.shape)
-    for i, t in enumerate(tg.nodes):
-        data[i] = ws.inverse(_heat_multiplier(t, ws) * u0_hat)
+    frames = _e0_frames(ws.forward(u0.values), _at_nodes(hats, ws), tg, ws)
+    for i, frame in enumerate(frames):
+        data[i] = frame
+    return SpaceTimeField(data, tg, grid)
 
+
+def _check_force(hat: np.ndarray, what: str, ws: SpectralWorkspace) -> None:
+    defect = _relative_divergence_hat(hat, ws)
+    if defect > _DIV_TOL:
+        raise ForceDivergenceError(f"{what} has relative divergence {defect:.3e} > {_DIV_TOL}")
+
+
+def _force_spectra(force_spec, tg: TimeGrid, ws: SpectralWorkspace) -> np.ndarray | None:
+    """Checked spectra of a forcing: ``None`` for no forcing, the static
+    ``(dim, *half)`` spectrum of a tensor's row divergence, or the
+    ``(steps + 1, dim, *half)`` stack of a history sampled on ``tg``."""
+    grid = ws.grid
     if force_spec is None:
-        return SpaceTimeField(data, tg, grid)
-
+        return None
     if isinstance(force_spec, TensorField):
         if force_spec.grid != grid:
             raise ValueError("tensor force and workspace grids differ")
-        f_hat = _div_hat(ws.forward(force_spec.values), ws)
-        defect = _relative_divergence_hat(f_hat, ws)
-        if defect > _DIV_TOL:
-            raise ForceDivergenceError(
-                f"tensor force has relative divergence {defect:.3e} > {_DIV_TOL}"
-            )
-        data += duhamel_accumulate(lambda i: f_hat, tg, ws)
-        return SpaceTimeField(data, tg, grid)
-
+        hat = _div_hat(ws.forward(force_spec.values), ws)
+        _check_force(hat, "tensor force", ws)
+        return hat
     if isinstance(force_spec, SpaceTimeField):
         if force_spec.grid != grid or force_spec.tg != tg:
             raise ValueError("sampled force does not match the requested grids")
-
-        worst = 0.0
-
-        def hat(i: int):
-            nonlocal worst
-            hats = ws.forward(force_spec.data[i])
-            worst = max(worst, _relative_divergence_hat(hats, ws))
-            return hats
-
-        duh = duhamel_accumulate(hat, tg, ws)
-        if worst > _DIV_TOL:
-            raise ForceDivergenceError(
-                f"sampled force has relative divergence {worst:.3e} > {_DIV_TOL}"
-            )
-        data += duh
-        return SpaceTimeField(data, tg, grid)
-
+        hats = np.empty((tg.steps + 1, grid.dimension) + ws.k2.shape, dtype=complex)
+        for i, frame in enumerate(force_spec.data):
+            hats[i] = ws.forward(frame)
+            _check_force(hats[i], "sampled force", ws)
+        return hats
     raise TypeError(f"unsupported force specification {type(force_spec)!r}")
+
+
+def _at_nodes(hats: np.ndarray | None, ws: SpectralWorkspace):
+    """``hat_at_node`` of :func:`_force_spectra`'s result on its own time grid."""
+    if hats is None:
+        return None
+    if hats.ndim == ws.grid.dimension + 1:  # static
+        return lambda i: hats
+    return hats.__getitem__
+
+
+def _interpolated(hats: np.ndarray | None, src: TimeGrid, tg: TimeGrid,
+                  ws: SpectralWorkspace):
+    """``hat_at_node`` on ``tg`` of force spectra sampled on ``src``: linear
+    in time between the two nearest samples, every frame checked again."""
+    if hats is None or hats.ndim == ws.grid.dimension + 1:
+        return _at_nodes(hats, ws)
+    pos = tg.nodes / src.dt
+    lo = np.minimum(np.floor(pos).astype(int), src.steps - 1)
+    frac = pos - lo
+
+    def hat(i: int) -> np.ndarray:
+        frame = (1.0 - frac[i]) * hats[lo[i]] + frac[i] * hats[lo[i] + 1]
+        _check_force(frame, "sampled force", ws)
+        return frame
+    return hat
+
+
+def _e0_frames(u0_hat: np.ndarray, hat_at_node, tg: TimeGrid, ws: SpectralWorkspace):
+    """Node frames of ``e0`` on ``tg``, one at a time: the heat multiplier
+    times ``u0_hat`` plus the Duhamel accumulator of ``hat_at_node`` (``None``
+    for no forcing), summed in spectral space and inverted once per node."""
+    accs = None if hat_at_node is None else duhamel_spectra(hat_at_node, tg, ws)
+    for i, t in enumerate(tg.nodes):
+        hat = _heat_multiplier(t, ws) * u0_hat
+        if i > 0 and accs is not None:
+            hat += next(accs)
+        yield ws.inverse(hat)
 
 
 def bilinear_term(u: SpaceTimeField, ws: SpectralWorkspace) -> SpaceTimeField:
@@ -311,11 +349,15 @@ def regime_norm(u: SpaceTimeField, cfg: SolverConfig) -> NormValue:
     return norm_E_thm2(u, cfg.p, cfg.q, cfg.tol_norm)
 
 
-def _difference_norm(a: SpaceTimeField, b: SpaceTimeField, cfg: SolverConfig) -> float:
-    frames = (x - y for x, y in zip(a.data, b.data))
+def _frames_norm(frames, cfg: SolverConfig) -> float:
+    # the regime norm of a history on the config's grids, streamed by node frame
     if cfg.regime == "thm1":
-        return _thm1_norm(frames, a.grid, cfg.p, cfg.frak_p, cfg.tol_norm).value
-    return _thm2_norm(frames, a.tg, a.grid, cfg.p, cfg.q, cfg.tol_norm).value
+        return _thm1_norm(frames, cfg.u0.grid, cfg.p, cfg.frak_p, cfg.tol_norm).value
+    return _thm2_norm(frames, cfg.tg, cfg.u0.grid, cfg.p, cfg.q, cfg.tol_norm).value
+
+
+def _difference_norm(a: SpaceTimeField, b: SpaceTimeField, cfg: SolverConfig) -> float:
+    return _frames_norm((x - y for x, y in zip(a.data, b.data)), cfg)
 
 
 def _random_divfree_history(grid: GridSpec, tg: TimeGrid,
@@ -374,16 +416,6 @@ def estimate_bilinear_constant(regime: str, p: ExponentField, q: float | None,
     return best
 
 
-def _interp_history(force: SpaceTimeField, tg: TimeGrid) -> SpaceTimeField:
-    pos = tg.nodes / force.tg.dt
-    lo = np.minimum(np.floor(pos).astype(int), force.tg.steps - 1)
-    frac = pos - lo
-    data = np.empty((tg.steps + 1,) + force.data.shape[1:])
-    for i in range(tg.steps + 1):
-        data[i] = (1.0 - frac[i]) * force.data[lo[i]] + frac[i] * force.data[lo[i] + 1]
-    return SpaceTimeField(data, tg, force.grid)
-
-
 def _horizon_ladder(T: float) -> list[float]:
     return [float(T * _LADDER_SPAN ** (-j / (_LADDER_POINTS - 1)))
             for j in range(_LADDER_POINTS)]
@@ -392,23 +424,38 @@ def _horizon_ladder(T: float) -> list[float]:
 def smallness_check(cfg: SolverConfig, c_b: float) -> SmallnessVerdict:
     """Measure the data size and compare against the contraction threshold.
 
+    ``e0`` is streamed node by node into its norm trace, never stored: the
+    force is transformed once, and each node frame is the data's heat flow
+    plus the Duhamel accumulator, summed in spectral space and inverted once.
+
     For ``thm2`` a decreasing geometric ladder of horizon candidates is
-    scanned as well; the ladder thresholds rescale the measured constant by
-    ``(1 + T') / (1 + T)``, the horizon dependence of the transport bound.
+    scanned as well.  Each rung reuses the same force spectra, interpolated
+    linearly in time onto its own steps (every interpolated frame passes
+    the divergence check), and streams its ``e0`` frames into the norm
+    trace the same way.  The rung thresholds rescale the measured constant
+    by ``(1 + T') / (1 + T)``.  That horizon dependence is assumed, not
+    measured: the library estimates ``c_B`` at the full horizon only.
     """
-    ws = make_workspace(cfg.u0.grid)
-    return _smallness(cfg, c_b, initial_term(cfg.u0, cfg.force_spec, cfg.tg, ws), ws)
+    return _smallness(cfg, c_b, None, make_workspace(cfg.u0.grid))
 
 
-def _smallness(cfg: SolverConfig, c_b: float, e0: SpaceTimeField,
+def _smallness(cfg: SolverConfig, c_b: float, e0: SpaceTimeField | None,
                ws: SpectralWorkspace) -> SmallnessVerdict:
-    # the gate of smallness_check, measured on an already computed e0
+    # the gate of smallness_check; picard_solve passes the e0 it already holds
     if c_b <= 0:
         raise ValueError(f"bilinear constant must be positive, got {c_b}")
-    delta = regime_norm(e0, cfg).value
+    thm2 = cfg.regime == "thm2"
+    if e0 is None or thm2:
+        # one transform of the data and of the force serves e0 and every rung
+        u0_hat = ws.forward(cfg.u0.values)
+        hats = _force_spectra(cfg.force_spec, cfg.tg, ws)
+    if e0 is None:
+        delta = _frames_norm(_e0_frames(u0_hat, _at_nodes(hats, ws), cfg.tg, ws), cfg)
+    else:
+        delta = _frames_norm(e0.data, cfg)
     threshold = 1.0 / (4.0 * c_b)
     passed = delta < threshold
-    if cfg.regime == "thm1":
+    if not thm2:
         return SmallnessVerdict(delta, threshold, c_b, passed)
 
     ladder = []
@@ -418,11 +465,8 @@ def _smallness(cfg: SolverConfig, c_b: float, e0: SpaceTimeField,
         tg = TimeGrid(T_cand, steps)
         p_grid = GridSpec(1, (T_cand,), (steps,), TRUNCATED, (0.0,))
         p_cand = resample_exponent(cfg.p, p_grid)
-        force = cfg.force_spec
-        if isinstance(force, SpaceTimeField):
-            force = _interp_history(force, tg)
-        e0_cand = initial_term(cfg.u0, force, tg, ws)
-        delta_cand = norm_E_thm2(e0_cand, p_cand, cfg.q, cfg.tol_norm).value
+        frames = _e0_frames(u0_hat, _interpolated(hats, cfg.tg, tg, ws), tg, ws)
+        delta_cand = _thm2_norm(frames, tg, ws.grid, p_cand, cfg.q, cfg.tol_norm).value
         c_cand = c_b * (1.0 + T_cand) / (1.0 + cfg.tg.T)
         thr_cand = 1.0 / (4.0 * c_cand)
         ok = delta_cand < thr_cand

@@ -219,26 +219,33 @@ def heat_convolve(f, t: float, ws: SpectralWorkspace):
     return type(f)(ws.inverse(_heat_multiplier(t, ws) * ws.forward(f.values)), ws.grid)
 
 
-def duhamel_accumulate(hat_at_node, tg: TimeGrid, ws: SpectralWorkspace) -> np.ndarray:
+def duhamel_spectra(hat_at_node, tg: TimeGrid, ws: SpectralWorkspace):
     """Trapezoid-in-time heat accumulation of a spectral forcing history.
 
     ``hat_at_node(i)`` must return the stacked component spectra at node
-    ``i``.  Returns the physical space-time stack; node 0 is zero.  The
-    running form multiplies the accumulator by the one-step decay, which
-    reproduces the trapezoid rule applied to the closed-form integrand.
+    ``i``; it is called once per node, in order.  Yields the accumulator
+    spectrum at nodes ``1 .. steps`` (at node 0 it is zero).  The running
+    form multiplies the accumulator by the one-step decay, which reproduces
+    the trapezoid rule applied to the closed-form integrand.  Every yield is
+    the same buffer, updated in place: use it before advancing, or copy it.
     """
-    dim = ws.grid.dimension
-    out = np.zeros((tg.steps + 1, dim) + ws.grid.shape)
     decay = _heat_multiplier(tg.dt, ws)
-    acc = np.zeros((dim,) + ws.k2.shape, dtype=complex)
+    acc = np.zeros((ws.grid.dimension,) + ws.k2.shape, dtype=complex)
     prev = np.asarray(hat_at_node(0))
     half = 0.5 * tg.dt
     for i in range(1, tg.steps + 1):
         cur = np.asarray(hat_at_node(i))
         acc *= decay
         acc += half * (decay * prev + cur)
-        out[i] = ws.inverse(acc)
+        yield acc
         prev = cur
+
+
+def duhamel_accumulate(hat_at_node, tg: TimeGrid, ws: SpectralWorkspace) -> np.ndarray:
+    """The physical space-time stack of :func:`duhamel_spectra`; node 0 is zero."""
+    out = np.zeros((tg.steps + 1, ws.grid.dimension) + ws.grid.shape)
+    for i, acc in enumerate(duhamel_spectra(hat_at_node, tg, ws), start=1):
+        out[i] = ws.inverse(acc)
     return out
 
 

@@ -29,6 +29,7 @@ from varns import (
     norm_E_thm2,
     picard_solve,
     relative_divergence,
+    resample_exponent,
     smallness_check,
 )
 from varns import mild_solver
@@ -73,6 +74,18 @@ def thm2_config(grid, tg, amplitude=0.05, q=10.0, force=None, **kw):
                     force_spec=force, tg=tg)
     defaults.update(kw)
     return SolverConfig(**defaults)
+
+
+def modulated_force(grid, tg, amplitude=0.05):
+    """Two transverse waves with different time modulations: divergence-free."""
+    X = grid.coords()
+    a = np.broadcast_to(np.cos(X[0]), grid.shape)
+    b = np.broadcast_to(np.sin(X[0] + X[1]), grid.shape)
+    data = np.zeros((tg.steps + 1, 3) + grid.shape)
+    for i, t in enumerate(tg.nodes):
+        data[i, 1] = amplitude * np.cos(3.0 * t) * a
+        data[i, 2] = amplitude * (1.0 + 0.5 * np.sin(5.0 * t)) * b
+    return SpaceTimeField(data, tg, grid)
 
 
 def taylor_green_history(grid, tg):
@@ -207,6 +220,18 @@ class TestInitialTerm:
         out = initial_term(u0, force, tg, ws)
         ref = duhamel_force(force, tg, ws)
         assert np.max(np.abs(out.data - ref.data)) < 1e-14
+
+    def test_data_and_sampled_force_add_up(self):
+        g = torus(8)
+        ws = make_workspace(g)
+        tg = TimeGrid(0.5, 10)
+        u0 = two_mode_u0(g, 0.7)
+        force = modulated_force(g, tg, amplitude=0.9)
+        out = initial_term(u0, force, tg, ws)
+        duh = duhamel_force(force, tg, ws)
+        for i, t in enumerate(tg.nodes):
+            want = heat_convolve(u0, t, ws).values + duh.data[i]
+            assert np.max(np.abs(out.data[i] - want)) < 1e-14
 
     def test_divergent_sampled_force_rejected(self):
         g = torus(8)
@@ -432,6 +457,51 @@ class TestSmallnessGate:
             seen.append(0.0 if v.admissible_T is None else v.admissible_T)
         assert all(a >= b for a, b in zip(seen, seen[1:]))
         assert seen[0] > seen[-1]
+
+    def test_ladder_matches_physical_interpolation(self):
+        # every rung rebuilt the plain way: the force history interpolated
+        # linearly in time in physical space, then initial_term and the norm
+        g = torus(8)
+        tg = TimeGrid(1.0, 16)
+        force = modulated_force(g, tg)
+        cfg = thm2_config(g, tg, amplitude=0.3, force=force)
+        ws = make_workspace(g)
+
+        def rung_delta(T_cand):
+            steps = max(2, int(round(tg.steps * T_cand / tg.T)))
+            rung = TimeGrid(T_cand, steps)
+            pos = rung.nodes / tg.dt
+            lo = np.minimum(np.floor(pos).astype(int), tg.steps - 1)
+            frac = (pos - lo)[:, None, None, None, None]
+            history = (1.0 - frac) * force.data[lo] + frac * force.data[lo + 1]
+            e0 = initial_term(cfg.u0, SpaceTimeField(history, rung, g), rung, ws)
+            p_grid = GridSpec(1, (T_cand,), (steps,), TRUNCATED, (0.0,))
+            return norm_E_thm2(e0, resample_exponent(cfg.p, p_grid), cfg.q, cfg.tol_norm).value
+
+        probe = smallness_check(cfg, 1.0)
+        ref = [rung_delta(row[0]) for row in probe.ladder]
+        # put the verdict between rungs 7 and 8, away from every rung's threshold
+        scaled = [d * (1.0 + row[0]) / (1.0 + tg.T) for d, row in zip(ref, probe.ladder)]
+        assert scaled[7] > scaled[8]
+        c_b = 1.0 / (4.0 * np.sqrt(scaled[7] * scaled[8]))
+        v = smallness_check(cfg, c_b)
+        assert len(v.ladder) == len(ref) == 16
+        for (T_cand, delta, thr, passed), want in zip(v.ladder, ref):
+            assert delta == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert passed == (want < thr)
+        first = next(row[0] for row, want in zip(v.ladder, ref) if want < row[2])
+        assert v.admissible_T == first
+        assert v.admissible_T not in (None, v.ladder[0][0])
+
+    def test_divergent_sampled_force_fails_the_thm2_gate(self):
+        g = torus(8)
+        tg = TimeGrid(1.0, 16)
+        X = g.coords()
+        data = modulated_force(g, tg).data
+        data[:, 0] += 0.01 * np.broadcast_to(np.cos(X[0]), g.shape)  # div != 0
+        cfg = thm2_config(g, tg, amplitude=0.3, force=SpaceTimeField(data, tg, g))
+        with pytest.raises(ForceDivergenceError):
+            smallness_check(cfg, 0.05)
 
     def test_ladder_accepts_a_sampled_force(self):
         g = torus(8)
