@@ -293,9 +293,6 @@ class SpaceTimeField:
     def frame(self, i: int) -> VectorField:
         return VectorField(self.data[i], self.grid)
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.data)))
-
     def __add__(self, other: SpaceTimeField) -> SpaceTimeField:
         self._check_compatible(other)
         return SpaceTimeField(self.data + other.data, self.tg, self.grid)

@@ -9,8 +9,15 @@ limit stays within ``2 delta`` in the regime norm.
 Two regimes are supported: ``thm1`` measures iterates in a mixed norm of
 the pointwise-in-space supremum over time, ``thm2`` in a Luxemburg norm in
 time of the spatial fixed-exponent norm trace.  Every spectral step (the
-transforms, divergence, Leray projection, heat multiplier and Duhamel sum)
-comes from :mod:`varns.operators`.
+transforms, divergence, Leray projection, transport spectrum and Duhamel
+sum) comes from :mod:`varns.operators`.
+
+A solve holds one space-time stack.  ``B(u)`` is causal, so each iterate is
+one sweep over the nodes: the transport spectrum of ``u[i]`` and the force
+spectrum advance one Duhamel accumulator that also carries the data's heat
+flow, the new frame is one inverse transform of it, and the frame is
+measured against ``u[i]`` and then written over it.  ``e0`` is the same
+sweep without transport, and the residual a sweep that does not write.
 """
 from __future__ import annotations
 
@@ -34,11 +41,10 @@ from .fields import (
 from .operators import (
     SpectralWorkspace,
     _div_hat,
-    _heat_multiplier,
-    _leray_hat,
     _relative_divergence_hat,
+    _transport_hat,
     duhamel_accumulate,
-    duhamel_spectra,
+    duhamel_frames,
     leray_project,
     make_workspace,
 )
@@ -47,7 +53,6 @@ from .varlp import NormValue, luxemburg_norm, mixed_norm
 _DIV_TOL = 1e-8
 _LADDER_POINTS = 16
 _LADDER_SPAN = 64.0  # smallest horizon candidate is T / span
-_LIVE_STACKS = 3  # (steps + 1, 3, *grid) stacks a solve holds at its peak
 
 
 def _physical_ram() -> int | None:
@@ -78,7 +83,10 @@ class SolverConfig:
     the temporal one for ``thm2`` (on a 1d grid over ``[0, T]`` with one
     cell per time step).  ``u0`` is projected divergence-free on
     construction.  ``tol_norm`` is the relative tolerance of every
-    Luxemburg norm the run takes.
+    Luxemburg norm the run takes.  A config whose solve would not fit in
+    physical RAM is refused: the solve holds one float64
+    ``(steps + 1, 3, *grid)`` stack, plus the complex spectra of a sampled
+    force.
     """
 
     regime: str
@@ -122,13 +130,19 @@ class SolverConfig:
         object.__setattr__(self, "u0", leray_project(self.u0, ws))
 
     def _check_memory(self):
-        stack = 8 * (self.tg.steps + 1) * 3 * math.prod(self.u0.grid.shape)
+        grid, nodes = self.u0.grid, self.tg.steps + 1
+        stack = 8 * nodes * 3 * math.prod(grid.shape)
+        spectra = 0
+        if isinstance(self.force_spec, SpaceTimeField):
+            half = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
+            spectra = 16 * nodes * 3 * math.prod(half)
         ram = _physical_ram()
-        if ram is not None and _LIVE_STACKS * stack > ram:
+        if ram is not None and stack + spectra > ram:
             raise ValueError(
-                f"a solve on the {self.u0.grid.shape} grid with {self.tg.steps} time steps "
-                f"needs about {_LIVE_STACKS * stack} bytes ({_LIVE_STACKS} space-time stacks "
-                f"of {stack}), more than the {ram} bytes of RAM available")
+                f"a solve on the {grid.shape} grid with {self.tg.steps} time steps "
+                f"needs about {stack + spectra} bytes (a space-time stack of {stack} "
+                f"bytes and {spectra} bytes of force spectra), more than the {ram} "
+                f"bytes of RAM available")
 
     def _check_thm2_exponents(self):
         p, q = self.p, self.q
@@ -192,16 +206,17 @@ def initial_term(u0: VectorField, force_spec, tg: TimeGrid,
     the force, or a sampled space-time history.  Either way the resulting
     force must be divergence-free to ``1e-8`` relative or the call fails.
     A static force is transformed once and a sampled one once per node.
-    At each node the heat flow of the data and the Duhamel accumulator of
-    :func:`duhamel_spectra` are summed in spectral space and inverse-
-    transformed once.
+    The data's spectrum starts the Duhamel accumulator of
+    :func:`duhamel_spectra`, whose one-step decay carries its heat flow, so
+    each node costs one inverse transform.  This is the frame stream that
+    :func:`picard_solve` measures without storing.
     """
     grid = ws.grid
     if u0.grid != grid:
         raise ValueError("data and workspace grids differ")
     hats = _force_spectra(force_spec, tg, ws)
     data = np.empty((tg.steps + 1, grid.dimension) + grid.shape)
-    frames = _e0_frames(ws.forward(u0.values), _at_nodes(hats, ws), tg, ws)
+    frames = duhamel_frames(_at_nodes(hats, ws), tg, ws, ws.forward(u0.values))
     for i, frame in enumerate(frames):
         data[i] = frame
     return SpaceTimeField(data, tg, grid)
@@ -263,74 +278,81 @@ def _interpolated(hats: np.ndarray | None, src: TimeGrid, tg: TimeGrid,
     return hat
 
 
-def _e0_frames(u0_hat: np.ndarray, hat_at_node, tg: TimeGrid, ws: SpectralWorkspace):
-    """Node frames of ``e0`` on ``tg``, one at a time: the heat multiplier
-    times ``u0_hat`` plus the Duhamel accumulator of ``hat_at_node`` (``None``
-    for no forcing), summed in spectral space and inverted once per node."""
-    accs = None if hat_at_node is None else duhamel_spectra(hat_at_node, tg, ws)
-    for i, t in enumerate(tg.nodes):
-        hat = _heat_multiplier(t, ws) * u0_hat
-        if i > 0 and accs is not None:
-            hat += next(accs)
-        yield ws.inverse(hat)
-
-
 def bilinear_term(u: SpaceTimeField, ws: SpectralWorkspace) -> SpaceTimeField:
     """Heat-propagated projected transport term of ``u`` against itself."""
     if u.grid != ws.grid:
         raise ValueError("field and workspace grids differ")
-    # the product tensor u_l u_m is symmetric: transform its upper triangle
-    # once and index the full tensor out of it
-    dim = ws.grid.dimension
-    upper = np.triu_indices(dim)
-    full = np.empty((dim, dim), dtype=int)
-    full[upper] = full.T[upper] = np.arange(upper[0].size)
-
-    def ghat(i: int):
-        ui = u.data[i]
-        products = ws.forward(ui[upper[0]] * ui[upper[1]])
-        return _leray_hat(_div_hat(products[full], ws), ws)
-
-    return SpaceTimeField(duhamel_accumulate(ghat, u.tg, ws), u.tg, u.grid)
+    return SpaceTimeField(duhamel_accumulate(_transport_at_nodes(u.data, ws), u.tg, ws),
+                          u.tg, u.grid)
 
 
-# Norm traces read a space-time history one node frame ``(dim, ...space)``
-# at a time, so a difference of two histories streams without a third stack.
-
-def _sup_trace(frames) -> np.ndarray:
-    out = None
-    for f in frames:
-        mag2 = np.sum(f * f, axis=0)
-        out = mag2 if out is None else np.maximum(out, mag2, out=out)
-    return np.sqrt(out)
+def _transport_at_nodes(u: np.ndarray, ws: SpectralWorkspace):
+    """``hat_at_node`` of the transport spectrum of a history stack ``u``."""
+    return lambda i: _transport_hat(u[i], ws)
 
 
-def _lq_trace(frames, q: float, cell_volume: float) -> np.ndarray:
-    return np.array([(cell_volume * np.sum(np.sqrt(np.sum(f * f, axis=0)) ** q)) ** (1.0 / q)
-                     for f in frames])
+def _iterate_at_nodes(u: np.ndarray, force, ws: SpectralWorkspace):
+    """``hat_at_node`` of the next iterate ``e0 - B(u)``: the force spectrum
+    (``force`` is a ``hat_at_node`` or ``None``) minus the transport
+    spectrum of ``u`` at the same node."""
+    def hat(i: int) -> np.ndarray:
+        g = _transport_hat(u[i], ws)
+        return np.negative(g, out=g) if force is None else force(i) - g
+    return hat
 
 
-def _thm1_norm(frames, grid: GridSpec, p: ExponentField, frak_p: float,
-               tol: float) -> NormValue:
-    return mixed_norm(ScalarField(_sup_trace(frames), grid), p, frak_p, tol)
+class _Trace:
+    """A regime norm fed one node frame ``(dim, *space)`` at a time, so a
+    history, or the difference of two, is measured without holding it.
+
+    ``thm1`` keeps the pointwise supremum over time of ``|u|^2`` for the
+    mixed norm; ``thm2`` keeps the spatial ``L^q`` norm at each node, which
+    is averaged onto time cells for the Luxemburg norm in time.
+    """
+
+    def __init__(self, regime: str, grid: GridSpec, tg: TimeGrid, p: ExponentField,
+                 q: float | None = None, frak_p: float = 3.0, tol: float = 1e-8):
+        if regime == "thm2":
+            g = p.grid
+            if g.dimension != 1 or g.resolution[0] != tg.steps:
+                raise ValueError("temporal exponent needs one sample per time step")
+            if abs(g.extents[0] - tg.T) > 1e-12 * max(1.0, tg.T):
+                raise ValueError("temporal exponent interval must cover [0, T]")
+        self.regime, self.grid, self.p = regime, grid, p
+        self.q, self.frak_p, self.tol = q, frak_p, tol
+        self.sup = None
+        self.nodes = []
+
+    def add(self, frame: np.ndarray) -> None:
+        mag2 = np.sum(frame * frame, axis=0)
+        if self.regime == "thm1":
+            self.sup = mag2 if self.sup is None else np.maximum(self.sup, mag2, out=self.sup)
+        else:
+            q = self.q
+            self.nodes.append((self.grid.cell_volume * np.sum(np.sqrt(mag2) ** q)) ** (1.0 / q))
+
+    def feed(self, frames) -> _Trace:
+        for frame in frames:
+            self.add(frame)
+        return self
+
+    def norm(self) -> NormValue:
+        if self.regime == "thm1":
+            return mixed_norm(ScalarField(np.sqrt(self.sup), self.grid), self.p,
+                              self.frak_p, self.tol)
+        nodes = np.array(self.nodes)
+        cells = 0.5 * (nodes[:-1] + nodes[1:])
+        return luxemburg_norm(ScalarField(cells, self.p.grid), self.p, self.tol)
 
 
-def _thm2_norm(frames, tg: TimeGrid, grid: GridSpec, p: ExponentField, q: float,
-               tol: float) -> NormValue:
-    g = p.grid
-    if g.dimension != 1 or g.resolution[0] != tg.steps:
-        raise ValueError("temporal exponent needs one sample per time step")
-    if abs(g.extents[0] - tg.T) > 1e-12 * max(1.0, tg.T):
-        raise ValueError("temporal exponent interval must cover [0, T]")
-    nodes = _lq_trace(frames, q, grid.cell_volume)
-    cells = 0.5 * (nodes[:-1] + nodes[1:])
-    return luxemburg_norm(ScalarField(cells, g), p, tol)
+def _trace(cfg: SolverConfig) -> _Trace:
+    return _Trace(cfg.regime, cfg.u0.grid, cfg.tg, cfg.p, cfg.q, cfg.frak_p, cfg.tol_norm)
 
 
 def norm_E_thm1(u: SpaceTimeField, p: ExponentField, frak_p: float = 3.0,
                 tol: float = 1e-8) -> NormValue:
     """Mixed norm of the pointwise supremum over time of ``|u|``."""
-    return _thm1_norm(u.data, u.grid, p, frak_p, tol)
+    return _Trace("thm1", u.grid, u.tg, p, frak_p=frak_p, tol=tol).feed(u.data).norm()
 
 
 def norm_E_thm2(u: SpaceTimeField, p: ExponentField, q: float,
@@ -340,24 +362,13 @@ def norm_E_thm2(u: SpaceTimeField, p: ExponentField, q: float,
     Node values are averaged onto time cells so the trace lives on the same
     midpoint grid as the temporal exponent.
     """
-    return _thm2_norm(u.data, u.tg, u.grid, p, q, tol)
+    return _Trace("thm2", u.grid, u.tg, p, q, tol=tol).feed(u.data).norm()
 
 
 def regime_norm(u: SpaceTimeField, cfg: SolverConfig) -> NormValue:
     if cfg.regime == "thm1":
         return norm_E_thm1(u, cfg.p, cfg.frak_p, cfg.tol_norm)
     return norm_E_thm2(u, cfg.p, cfg.q, cfg.tol_norm)
-
-
-def _frames_norm(frames, cfg: SolverConfig) -> float:
-    # the regime norm of a history on the config's grids, streamed by node frame
-    if cfg.regime == "thm1":
-        return _thm1_norm(frames, cfg.u0.grid, cfg.p, cfg.frak_p, cfg.tol_norm).value
-    return _thm2_norm(frames, cfg.tg, cfg.u0.grid, cfg.p, cfg.q, cfg.tol_norm).value
-
-
-def _difference_norm(a: SpaceTimeField, b: SpaceTimeField, cfg: SolverConfig) -> float:
-    return _frames_norm((x - y for x, y in zip(a.data, b.data)), cfg)
 
 
 def _random_divfree_history(grid: GridSpec, tg: TimeGrid,
@@ -397,20 +408,19 @@ def estimate_bilinear_constant(regime: str, p: ExponentField, q: float | None,
 
     Trial fields are seeded divergence-free plane-wave packets with smooth
     time modulation, so repeated calls are deterministic and more trials
-    can only raise the estimate.
+    can only raise the estimate.  ``B(u,u)`` is streamed node by node into
+    its norm, so one trial stack is the only history held.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(trials):
-        u = _random_divfree_history(ws.grid, tg, rng)
-        if regime == "thm1":
-            nu = norm_E_thm1(u, p, frak_p, tol).value
-            nb = norm_E_thm1(bilinear_term(u, ws), p, frak_p, tol).value
-        else:
-            nu = norm_E_thm2(u, p, q, tol).value
-            nb = norm_E_thm2(bilinear_term(u, ws), p, q, tol).value
+        u = _random_divfree_history(ws.grid, tg, rng).data
+        nu = _Trace(regime, ws.grid, tg, p, q, frak_p, tol).feed(u).norm().value
+        frames = duhamel_frames(_transport_at_nodes(u, ws), tg, ws)
+        nb = _Trace(regime, ws.grid, tg, p, q, frak_p, tol).feed(frames).norm().value
+        del u, frames  # the next trial is drawn with this one released
         if nu > 0:
             best = max(best, nb / (nu * nu))
     return best
@@ -425,37 +435,34 @@ def smallness_check(cfg: SolverConfig, c_b: float) -> SmallnessVerdict:
     """Measure the data size and compare against the contraction threshold.
 
     ``e0`` is streamed node by node into its norm trace, never stored: the
-    force is transformed once, and each node frame is the data's heat flow
-    plus the Duhamel accumulator, summed in spectral space and inverted once.
+    force is transformed once, and the data's spectrum starts the Duhamel
+    accumulator, so each node frame is one inverse transform.
 
     For ``thm2`` a decreasing geometric ladder of horizon candidates is
-    scanned as well.  Each rung reuses the same force spectra, interpolated
-    linearly in time onto its own steps (every interpolated frame passes
-    the divergence check), and streams its ``e0`` frames into the norm
-    trace the same way.  The rung thresholds rescale the measured constant
-    by ``(1 + T') / (1 + T)``.  That horizon dependence is assumed, not
-    measured: the library estimates ``c_B`` at the full horizon only.
+    scanned as well.  Each rung reuses the same data and force spectra,
+    the force interpolated linearly in time onto its own steps (every
+    interpolated frame passes the divergence check), and streams its ``e0``
+    frames into the norm trace the same way.  The rung thresholds rescale
+    the measured constant by ``(1 + T') / (1 + T)``.  That horizon
+    dependence is assumed, not measured: the library estimates ``c_B`` at
+    the full horizon only.
     """
-    return _smallness(cfg, c_b, None, make_workspace(cfg.u0.grid))
+    ws = make_workspace(cfg.u0.grid)
+    u0_hat = ws.forward(cfg.u0.values)
+    hats = _force_spectra(cfg.force_spec, cfg.tg, ws)
+    frames = duhamel_frames(_at_nodes(hats, ws), cfg.tg, ws, u0_hat)
+    return _smallness(cfg, c_b, _trace(cfg).feed(frames).norm().value, u0_hat, hats, ws)
 
 
-def _smallness(cfg: SolverConfig, c_b: float, e0: SpaceTimeField | None,
-               ws: SpectralWorkspace) -> SmallnessVerdict:
-    # the gate of smallness_check; picard_solve passes the e0 it already holds
+def _smallness(cfg: SolverConfig, c_b: float, delta: float, u0_hat: np.ndarray,
+               hats: np.ndarray | None, ws: SpectralWorkspace) -> SmallnessVerdict:
+    # the gate on a measured data size; the thm2 ladder reuses the caller's
+    # data and force spectra
     if c_b <= 0:
         raise ValueError(f"bilinear constant must be positive, got {c_b}")
-    thm2 = cfg.regime == "thm2"
-    if e0 is None or thm2:
-        # one transform of the data and of the force serves e0 and every rung
-        u0_hat = ws.forward(cfg.u0.values)
-        hats = _force_spectra(cfg.force_spec, cfg.tg, ws)
-    if e0 is None:
-        delta = _frames_norm(_e0_frames(u0_hat, _at_nodes(hats, ws), cfg.tg, ws), cfg)
-    else:
-        delta = _frames_norm(e0.data, cfg)
     threshold = 1.0 / (4.0 * c_b)
     passed = delta < threshold
-    if not thm2:
+    if cfg.regime != "thm2":
         return SmallnessVerdict(delta, threshold, c_b, passed)
 
     ladder = []
@@ -465,8 +472,9 @@ def _smallness(cfg: SolverConfig, c_b: float, e0: SpaceTimeField | None,
         tg = TimeGrid(T_cand, steps)
         p_grid = GridSpec(1, (T_cand,), (steps,), TRUNCATED, (0.0,))
         p_cand = resample_exponent(cfg.p, p_grid)
-        frames = _e0_frames(u0_hat, _interpolated(hats, cfg.tg, tg, ws), tg, ws)
-        delta_cand = _thm2_norm(frames, tg, ws.grid, p_cand, cfg.q, cfg.tol_norm).value
+        frames = duhamel_frames(_interpolated(hats, cfg.tg, tg, ws), tg, ws, u0_hat)
+        trace = _Trace("thm2", ws.grid, tg, p_cand, cfg.q, tol=cfg.tol_norm)
+        delta_cand = trace.feed(frames).norm().value
         c_cand = c_b * (1.0 + T_cand) / (1.0 + cfg.tg.T)
         thr_cand = 1.0 / (4.0 * c_cand)
         ok = delta_cand < thr_cand
@@ -476,58 +484,80 @@ def _smallness(cfg: SolverConfig, c_b: float, e0: SpaceTimeField | None,
     return SmallnessVerdict(delta, threshold, c_b, passed, admissible, tuple(ladder))
 
 
+def _sweep(cfg: SolverConfig, u: np.ndarray, frames, what: str,
+           write: bool = True) -> tuple[_Trace, _Trace]:
+    """Measure a stream of node frames against the stack ``u``: the traces
+    of ``frame - u[i]`` and of ``frame``.  Each frame must be finite, and
+    with ``write`` it replaces ``u[i]`` once it has been measured."""
+    step, size = _trace(cfg), _trace(cfg)
+    for i, frame in enumerate(frames):
+        if not np.isfinite(frame).all():
+            raise PicardBlowupError(f"{what} produced non-finite values")
+        step.add(frame - u[i])
+        size.add(frame)
+        if write:
+            u[i] = frame
+    return step, size
+
+
 def picard_solve(cfg: SolverConfig, c_b: float | None = None, trials: int = 3,
                  seed: int = 0, disable_bilinear: bool = False,
                  override_smallness: bool = False) -> SolverResult:
     """Run the fixed-point iteration until the increments drop below tolerance.
 
+    The solve holds one ``(steps + 1, 3, *grid)`` stack ``u``, plus the
+    spectra of a sampled force, transformed once for ``e0``, the gate, its
+    ``thm2`` ladder and every iterate.  ``c_B``, when not given, is
+    estimated before ``u`` is allocated.  ``e0`` is never stored: its frames
+    fill ``u`` and stream into the data size.  Each iterate is one sweep
+    that forms ``e0 - B(u)`` at node ``i`` as one spectral sum and one
+    inverse transform, checks the frame is finite, measures it and its
+    increment, and overwrites ``u[i]``.  The residual is that sweep without
+    the write.
+
     ``disable_bilinear`` switches the transport term off (the linear heat
     limit); ``override_smallness`` lets the run proceed past a failed gate,
-    reporting the failure in the verdict instead of raising.
+    reporting the failure in the verdict instead of raising.  Non-finite
+    frames raise :class:`PicardBlowupError`.
     """
     ws = make_workspace(cfg.u0.grid)
-    e0 = initial_term(cfg.u0, cfg.force_spec, cfg.tg, ws)
     if c_b is None:
         c_b = estimate_bilinear_constant(
             cfg.regime, cfg.p, cfg.q, cfg.tg, ws, trials, seed, cfg.frak_p, cfg.tol_norm)
         if c_b == 0.0:
             c_b = 1e-30
-    verdict = _smallness(cfg, c_b, e0, ws)
+    tg, grid = cfg.tg, cfg.u0.grid
+    u0_hat = ws.forward(cfg.u0.values)
+    hats = _force_spectra(cfg.force_spec, tg, ws)
+    force = _at_nodes(hats, ws)
+    u = np.zeros((tg.steps + 1, grid.dimension) + grid.shape)
+    _, size = _sweep(cfg, u, duhamel_frames(force, tg, ws, u0_hat), "the initial term")
+    verdict = _smallness(cfg, c_b, size.norm().value, u0_hat, hats, ws)
     if not verdict.passed and not override_smallness:
         raise SmallnessError(
             f"data norm {verdict.delta:.6e} is not below the contraction "
             f"threshold {verdict.threshold:.6e}; pass override_smallness=True to force"
         )
 
-    u = e0
+    hat = force if disable_bilinear else _iterate_at_nodes(u, force, ws)
     norms = [verdict.delta]
     increments: list[float] = []
     converged = False
     for n in range(1, cfg.max_iters + 1):
-        if disable_bilinear:
-            u_next = e0
-        else:
-            bu = bilinear_term(u, ws)
-            u_next = SpaceTimeField(np.subtract(e0.data, bu.data, out=bu.data),
-                                    cfg.tg, cfg.u0.grid)
-        if not u_next.is_finite():
-            raise PicardBlowupError(f"iterate {n} produced non-finite values")
-        d = _difference_norm(u_next, u, cfg)
+        step, size = _sweep(cfg, u, duhamel_frames(hat, tg, ws, u0_hat), f"iterate {n}")
+        d = step.norm().value
         increments.append(d)
-        norms.append(regime_norm(u_next, cfg).value)
-        u = u_next
+        norms.append(size.norm().value)
         if d <= cfg.tol_fixedpoint:
             converged = True
             break
 
-    if disable_bilinear:
-        residual = 0.0
-    else:
-        bu = bilinear_term(u, ws)
+    residual = 0.0
+    if not disable_bilinear:
         # residual of the fixed-point equation, which is also the next increment
-        np.add(bu.data, u.data, out=bu.data)
-        np.subtract(bu.data, e0.data, out=bu.data)
-        residual = regime_norm(SpaceTimeField(bu.data, cfg.tg, cfg.u0.grid), cfg).value
+        step, _ = _sweep(cfg, u, duhamel_frames(hat, tg, ws, u0_hat), "the residual",
+                         write=False)
+        residual = step.norm().value
 
     contraction = None
     positive = [(a, b) for a, b in zip(increments, increments[1:]) if a > 0]
@@ -535,8 +565,8 @@ def picard_solve(cfg: SolverConfig, c_b: float | None = None, trials: int = 3,
         contraction = max(b / a for a, b in positive)
 
     div_defect = 0.0
-    for frame in u.data:
+    for frame in u:
         div_defect = max(div_defect, _relative_divergence_hat(ws.forward(frame), ws))
 
-    return SolverResult(tuple(norms), tuple(increments), u, residual, contraction,
-                        c_b, verdict, converged, div_defect)
+    return SolverResult(tuple(norms), tuple(increments), SpaceTimeField(u, tg, grid),
+                        residual, contraction, c_b, verdict, converged, div_defect)

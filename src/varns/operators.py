@@ -7,7 +7,9 @@ trailing ``grid.dimension`` axes, and every leading axis (vector
 components, tensor rows, batches of products) is a batch axis.  Each public
 spectral operator is forward transform, hat-level helper, inverse
 transform; :mod:`varns.mild_solver` takes its spectral steps from the same
-helpers.  Odd (derivative-type) symbols use wavenumbers with the Nyquist
+helpers, among them the projected transport spectrum of one frame and the
+Duhamel recurrence, which streams node frames so that a history need not
+be stored.  Odd (derivative-type) symbols use wavenumbers with the Nyquist
 plane zeroed, the standard convention that keeps real fields real and
 makes the first-order identities exact on band-limited data; even symbols
 such as the heat multiplier use the full wavenumbers.
@@ -148,6 +150,33 @@ def _leray_hat(hats: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
     return np.stack([hats[j] - ws.k_deriv[j] * scale for j in range(ws.grid.dimension)])
 
 
+def _transport_hat(u: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
+    """Leray-projected divergence spectrum of ``u (x) u`` for one vector frame.
+
+    The product tensor is symmetric, so only its upper triangle is
+    transformed.  The row divergence and the projection are the sums of
+    ``_leray_hat(_div_hat(full))``, run in one output buffer straight from
+    the upper-triangle spectra, without building the full tensor.
+    """
+    dim = ws.grid.dimension
+    upper = np.triu_indices(dim)
+    row = np.empty((dim, dim), dtype=int)
+    row[upper] = row.T[upper] = np.arange(upper[0].size)
+    products = ws.forward(u[upper[0]] * u[upper[1]])
+    ik = [1j * k for k in ws.k_deriv]
+    out = np.empty((dim,) + ws.k2.shape, dtype=complex)
+    for m in range(dim):
+        np.multiply(ik[0], products[row[0, m]], out=out[m])
+        for l in range(1, dim):
+            out[m] += ik[l] * products[row[l, m]]
+    scale = _k_dot(out, ws)
+    # where k2_deriv is 0 every k_deriv is 0, so scale is 0 there already
+    scale /= np.where(ws.k2_deriv > 0.0, ws.k2_deriv, 1.0)
+    for j in range(dim):
+        out[j] -= ws.k_deriv[j] * scale
+    return out
+
+
 def _parseval_weights(ws: SpectralWorkspace) -> np.ndarray:
     w = np.full(ws.k2.shape, 2.0)
     w[..., 0] = 1.0
@@ -219,33 +248,50 @@ def heat_convolve(f, t: float, ws: SpectralWorkspace):
     return type(f)(ws.inverse(_heat_multiplier(t, ws) * ws.forward(f.values)), ws.grid)
 
 
-def duhamel_spectra(hat_at_node, tg: TimeGrid, ws: SpectralWorkspace):
+def duhamel_spectra(hat_at_node, tg: TimeGrid, ws: SpectralWorkspace, start=None):
     """Trapezoid-in-time heat accumulation of a spectral forcing history.
 
     ``hat_at_node(i)`` must return the stacked component spectra at node
-    ``i``; it is called once per node, in order.  Yields the accumulator
-    spectrum at nodes ``1 .. steps`` (at node 0 it is zero).  The running
+    ``i``, or ``hat_at_node`` is ``None`` for no forcing.  It is called once
+    per node, in order, and always before the accumulator at that node is
+    yielded, so a caller may overwrite its node-``i`` input once node ``i``
+    has been yielded.  Yields the accumulator spectrum at nodes
+    ``0 .. steps``: ``start`` (zero when ``None``) at node 0.  The running
     form multiplies the accumulator by the one-step decay, which reproduces
-    the trapezoid rule applied to the closed-form integrand.  Every yield is
-    the same buffer, updated in place: use it before advancing, or copy it.
+    the trapezoid rule applied to the closed-form integrand and carries the
+    heat flow of ``start`` along.  Every yield is the same buffer, updated
+    in place: use it before advancing, or copy it.
     """
     decay = _heat_multiplier(tg.dt, ws)
-    acc = np.zeros((ws.grid.dimension,) + ws.k2.shape, dtype=complex)
-    prev = np.asarray(hat_at_node(0))
+    shape = (ws.grid.dimension,) + ws.k2.shape
+    acc = np.zeros(shape, dtype=complex) if start is None else np.array(start, dtype=complex)
+    prev = None if hat_at_node is None else np.asarray(hat_at_node(0))
+    yield acc
     half = 0.5 * tg.dt
     for i in range(1, tg.steps + 1):
-        cur = np.asarray(hat_at_node(i))
         acc *= decay
-        acc += half * (decay * prev + cur)
+        if prev is not None:
+            cur = np.asarray(hat_at_node(i))
+            acc += half * (decay * prev + cur)
+            prev = cur
         yield acc
-        prev = cur
+
+
+def duhamel_frames(hat_at_node, tg: TimeGrid, ws: SpectralWorkspace, start=None):
+    """Physical node frames of :func:`duhamel_spectra`, one inverse transform
+    per node; node 0 is exactly zero when there is no ``start``."""
+    for i, acc in enumerate(duhamel_spectra(hat_at_node, tg, ws, start)):
+        if i == 0 and start is None:
+            yield np.zeros((ws.grid.dimension,) + ws.grid.shape)
+        else:
+            yield ws.inverse(acc)
 
 
 def duhamel_accumulate(hat_at_node, tg: TimeGrid, ws: SpectralWorkspace) -> np.ndarray:
-    """The physical space-time stack of :func:`duhamel_spectra`; node 0 is zero."""
-    out = np.zeros((tg.steps + 1, ws.grid.dimension) + ws.grid.shape)
-    for i, acc in enumerate(duhamel_spectra(hat_at_node, tg, ws), start=1):
-        out[i] = ws.inverse(acc)
+    """The physical space-time stack of :func:`duhamel_frames`; node 0 is zero."""
+    out = np.empty((tg.steps + 1, ws.grid.dimension) + ws.grid.shape)
+    for i, frame in enumerate(duhamel_frames(hat_at_node, tg, ws)):
+        out[i] = frame
     return out
 
 

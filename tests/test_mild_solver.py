@@ -164,14 +164,16 @@ class TestConfigValidation:
 
     def test_oversized_solve_fails_before_allocating(self, monkeypatch):
         g, tg = torus(8), TimeGrid(1.0, 8)
-        need = 3 * 8 * (8 + 1) * 3 * 8**3  # three float64 (steps+1, 3, 8, 8, 8) stacks
-        monkeypatch.setattr(mild_solver, "_physical_ram", lambda: need - 1)
-        with pytest.raises(ValueError, match=r"\(8, 8, 8\) grid with 8 time steps") as info:
-            thm1_config(g, tg)
-        assert f"{need} bytes" in str(info.value)
-        assert f"{need - 1} bytes of RAM" in str(info.value)
-        monkeypatch.setattr(mild_solver, "_physical_ram", lambda: need)
-        assert thm1_config(g, tg).tg == tg
+        stack = 8 * (8 + 1) * 3 * 8**3  # one float64 (steps+1, 3, 8, 8, 8) stack
+        spectra = 16 * (8 + 1) * 3 * 8 * 8 * 5  # complex (steps+1, 3, 8, 8, 5) spectra
+        for force, need in ((None, stack), (modulated_force(g, tg), stack + spectra)):
+            monkeypatch.setattr(mild_solver, "_physical_ram", lambda: need - 1)
+            with pytest.raises(ValueError, match=r"\(8, 8, 8\) grid with 8 time steps") as info:
+                thm1_config(g, tg, force=force)
+            assert f"{need} bytes" in str(info.value)
+            assert f"{need - 1} bytes of RAM" in str(info.value)
+            monkeypatch.setattr(mild_solver, "_physical_ram", lambda: need)
+            assert thm1_config(g, tg, force=force).tg == tg
 
 
 class TestInitialTerm:
@@ -615,13 +617,15 @@ class TestFixedPoint:
         tg = TimeGrid(1.0, 8)
         cfg = thm1_config(g, tg, u0=two_mode_u0(g, 0.5))
 
-        def poisoned(u, ws):
-            data = np.zeros_like(u.data)
-            data[1, 0, 0, 0, 0] = np.nan
-            return SpaceTimeField(data, u.tg, u.grid)
+        transport = ms._transport_hat
 
-        monkeypatch.setattr(ms, "bilinear_term", poisoned)
-        with pytest.raises(PicardBlowupError, match="non-finite"):
+        def poisoned(frame, ws):
+            hat = transport(frame, ws)
+            hat[0, 1, 0, 0] = np.nan
+            return hat
+
+        monkeypatch.setattr(ms, "_transport_hat", poisoned)
+        with pytest.raises(PicardBlowupError, match="iterate 1 produced non-finite"):
             ms.picard_solve(cfg, c_b=1e-2)
 
     def test_runs_are_deterministic(self):
@@ -644,3 +648,75 @@ class TestFixedPoint:
         assert res.converged
         assert res.residual <= 1e-6
         assert res.divergence_defect < 1e-10
+
+
+def stacked_picard(cfg, c_b):
+    """The iteration written with whole stacks: ``e0`` from ``initial_term``,
+    then ``e0 - bilinear_term(u)`` per iterate, every norm on a stack."""
+    ws = make_workspace(cfg.u0.grid)
+    e0 = initial_term(cfg.u0, cfg.force_spec, cfg.tg, ws)
+    assert regime_norm(e0, cfg).value < 1.0 / (4.0 * c_b)
+    u, norms, increments = e0, [regime_norm(e0, cfg).value], []
+    for _ in range(cfg.max_iters):
+        nxt = e0 - bilinear_term(u, ws)
+        increments.append(regime_norm(nxt - u, cfg).value)
+        norms.append(regime_norm(nxt, cfg).value)
+        u = nxt
+        if increments[-1] <= cfg.tol_fixedpoint:
+            break
+    residual = regime_norm(e0 - bilinear_term(u, ws) - u, cfg).value
+    return norms, increments, residual, u
+
+
+class TestStreamedSweep:
+    @pytest.mark.parametrize("case", ["thm1", "thm2-sampled-force", "thm2-tensor-force"])
+    def test_matches_the_stacked_iteration(self, case):
+        from varns.harness import antisymmetric_tensor_field
+        g, tg = torus(12), TimeGrid(1.0, 16)
+        # a Luxemburg value moves by about tol_norm / 8 when its input moves
+        # by rounding, so the norms are compared at a tol_norm that makes a
+        # 1e-12 comparison meaningful
+        tol = 1e-12
+        if case == "thm1":
+            cfg = thm1_config(g, tg, u0=two_mode_u0(g, 0.5), tol_norm=tol)
+        elif case == "thm2-sampled-force":
+            cfg = thm2_config(g, tg, amplitude=0.3, force=modulated_force(g, tg, 0.5),
+                              tol_norm=tol)
+        else:
+            force = antisymmetric_tensor_field(g, seed=2, amplitude=0.3)
+            cfg = thm2_config(g, tg, amplitude=0.3, force=force, tol_norm=tol)
+        c_b = 0.05
+        norms, increments, residual, u = stacked_picard(cfg, c_b)
+        res = picard_solve(cfg, c_b=c_b)
+        assert res.converged and len(increments) > 3
+        assert len(res.increments) == len(increments)
+        np.testing.assert_allclose(res.iterates_norms, norms, rtol=1e-12, atol=0.0)
+        delta = norms[0]
+        np.testing.assert_allclose(res.increments, increments, rtol=0.0, atol=1e-13 * delta)
+        assert abs(res.residual - residual) <= 1e-13 * delta
+        scale = np.max(np.abs(u.data))
+        assert np.max(np.abs(res.final.data - u.data)) <= 1e-14 * scale
+
+    def test_holds_one_stack(self):
+        import tracemalloc
+        g, tg = torus(16), TimeGrid(1.0, 32)
+        cfg = thm1_config(g, tg, u0=two_mode_u0(g, 0.5))
+        stack = 8 * (tg.steps + 1) * 3 * 16**3
+        tracemalloc.start()
+        try:
+            res = picard_solve(cfg)  # c_B estimated inside the solve
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged
+        assert peak < 1.5 * stack
+
+    def test_heat_limit_reproduces_e0_exactly(self):
+        g, tg = torus(8), TimeGrid(0.5, 12)
+        cfg = thm1_config(g, tg, u0=two_mode_u0(g, 0.6), force=modulated_force(g, tg, 0.4))
+        res = picard_solve(cfg, c_b=0.01, disable_bilinear=True)
+        e0 = initial_term(cfg.u0, cfg.force_spec, tg, make_workspace(g))
+        assert res.final.data.tobytes() == e0.data.tobytes()
+        assert res.iterates_norms == (res.smallness.delta,) * 2
+        assert res.increments == (0.0,)
+        assert res.residual == 0.0

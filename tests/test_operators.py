@@ -327,6 +327,22 @@ class TestDuhamel:
         stack = duhamel_accumulate(hat, tg, ws)
         assert np.array_equal(stack, duhamel_force(force, tg, ws).data)
 
+    def test_each_node_is_read_before_it_is_yielded(self):
+        # the solver overwrites its node-i input once node i has been yielded
+        from varns.operators import duhamel_spectra
+        g = torus(8)
+        ws = make_workspace(g)
+        tg = TimeGrid(0.5, 6)
+        calls = []
+
+        def hat(i):
+            calls.append(i)
+            return np.zeros((3,) + ws.k2.shape, dtype=complex)
+
+        for i, _ in enumerate(duhamel_spectra(hat, tg, ws)):
+            assert calls == list(range(i + 1))
+        assert calls == list(range(tg.steps + 1))
+
 
 def brute_ball_average(f, radii, points):
     """Direct all-pairs evaluation of the windowed-average maximum."""
