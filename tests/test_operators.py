@@ -649,6 +649,117 @@ class TestRadialDominationGap:
             radial_majorant_defect(phi, smooth_random(g, 1))
 
 
+def direct_majorant(phi, f):
+    """Worst ``|phi * f| / (L1(phi) Mf)`` on a torus by direct summation.
+
+    One ``np.roll`` of ``|f|`` per offset; shells group the offsets by their
+    distance rounded to 12 digits, and ``Mf`` is the maximal average over
+    every ball of whole shells inside the kernel's support.
+    """
+    g = phi.grid
+    fa = np.abs(f.values)
+    axes = tuple(range(g.dimension))
+    kernel = np.roll(phi.values, [-(n // 2) for n in g.resolution], axis=axes)
+    steps = np.meshgrid(*[np.arange(n) for n in g.resolution], indexing="ij")
+    dist = np.sqrt(sum((np.minimum(m, n - m) * h) ** 2
+                       for m, n, h in zip(steps, g.resolution, g.spacings)))
+    peak = kernel.max()
+    r_support = min(float(dist[kernel > 1e-13 * peak].max()), 0.5 * min(g.extents))
+    key = np.round(dist, 12)
+    conv = np.zeros(g.shape)
+    total = np.zeros(g.shape)
+    maximal = np.zeros(g.shape)
+    count = 0
+    for r in np.unique(key):
+        inside = r <= np.round(r_support, 12)
+        for idx in zip(*np.nonzero(key == r)):
+            rolled = np.roll(fa, idx, axis=axes)
+            conv += kernel[idx] * rolled
+            if inside:
+                total += rolled
+                count += 1
+        if inside:
+            np.maximum(maximal, total / count, out=maximal)
+    conv *= g.cell_volume
+    l1 = g.cell_volume * float(kernel.sum())
+    live = maximal > 0
+    return float(np.max(np.abs(conv[live]) / (l1 * maximal[live])))
+
+
+def gaussian_window(g, width):
+    return ScalarField(np.exp(-((radial_distance(g) / width) ** 2)), g)
+
+
+def campaign_torus(res):
+    # the radial_majorant campaign's torus and kernel
+    g = GridSpec(3, (TWO_PI,) * 3, (res,) * 3, PERIODIC)
+    return g, gaussian_window(g, 0.0875 * TWO_PI)
+
+
+class TestRadialMajorantExactness:
+    @pytest.mark.parametrize("grid", [
+        GridSpec(3, (8.0,) * 3, (16,) * 3, PERIODIC, (-4.0,) * 3),
+        GridSpec(3, (8.0, 6.0, 10.0), (16, 16, 20), PERIODIC, (-4.0, -3.0, -5.0)),
+    ], ids=["cubic", "anisotropic"])
+    def test_matches_direct_summation(self, grid):
+        windows = (gaussian_window(grid, 0.5),
+                   ScalarField((radial_distance(grid) <= 1.4).astype(float), grid))
+        for phi in windows:
+            for seed in (40, 41):
+                f = smooth_random(grid, seed, modes=3)
+                want = direct_majorant(phi, f)
+                assert radial_majorant_defect(phi, f) == pytest.approx(want, rel=1e-12)
+
+    def test_single_cell_stays_under_the_layer_cake_bound(self):
+        # FFT round-off leaves ball averages slightly positive where every
+        # ball misses the cell; counted as live, such points read 1e4-1e5
+        box = TestRadialDominationGap().grid()
+        for g, phi in (campaign_torus(12), (box, gaussian_window(box, 0.7))):
+            values = np.zeros(g.shape)
+            values[3, 5, 7] = 1.0
+            f = ScalarField(values, g)
+            got = radial_majorant_defect(phi, f)
+            assert got <= 1.0
+            assert got == pytest.approx(direct_majorant(phi, f), rel=1e-12)
+
+    def test_zero_field_reads_zero(self):
+        g, phi = campaign_torus(12)
+        assert radial_majorant_defect(phi, ScalarField(np.zeros(g.shape), g)) == 0.0
+
+
+def _bump(g, center, width):
+    d2 = sum(np.minimum(np.abs(x - c), TWO_PI - np.abs(x - c)) ** 2
+             for x, c in zip(g.coords(), center))
+    return np.exp(-d2 / width**2)
+
+
+def _worst_case_field(kind, g):
+    rng = np.random.default_rng(17)
+    x, y, z = g.coords()
+    if kind == "constant":
+        return np.full(g.shape, 0.8)
+    if kind == "ripple":
+        return 1.0 + 1e-7 * np.cos(x + 2.0 * y) * np.sin(3.0 * z)
+    if kind == "tied-bumps":
+        # equal bumps half a box apart: every ratio comes in equal pairs
+        return _bump(g, (1.0, 1.0, 1.0), 0.5) + _bump(g, (1.0 + np.pi,) * 3, 0.5)
+    if kind == "white-noise":
+        return rng.standard_normal(g.shape)
+    return (rng.random(g.shape) < 1e-3) * rng.standard_normal(g.shape)
+
+
+class TestRadialMajorantWorstCases:
+    @pytest.mark.parametrize("res", [16, 24])
+    @pytest.mark.parametrize("kind", ["constant", "ripple", "tied-bumps",
+                                      "white-noise", "sparse-spikes"])
+    def test_matches_direct_summation(self, kind, res):
+        g, phi = campaign_torus(res)
+        f = ScalarField(_worst_case_field(kind, g), g)
+        got = radial_majorant_defect(phi, f)
+        assert got == pytest.approx(direct_majorant(phi, f), rel=1e-12)
+        assert got <= 1.0 + 1e-12
+
+
 class TestRefinementConsistency:
     def test_transform_values_persist_under_refinement(self):
         # periodic node grids nest under doubling, so a band-limited field
