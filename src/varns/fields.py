@@ -77,8 +77,10 @@ class GridSpec:
             raise ValueError(f"resolution must have {self.dimension} entries, got {len(res)}")
         if any(r < 2 for r in res):
             raise ValueError(f"resolution must be at least 2 per axis, got {res}")
-        if any(e <= 0 for e in self.extents):
-            raise ValueError(f"extents must be positive, got {self.extents}")
+        if not all(0.0 < e < np.inf for e in self.extents):
+            raise ValueError(f"extents must be positive and finite, got {self.extents}")
+        if not np.isfinite(self.origin).all():
+            raise ValueError(f"origin must be finite, got {self.origin}")
         object.__setattr__(self, "resolution", res)
 
     @property
@@ -251,8 +253,8 @@ class TimeGrid:
     def __post_init__(self):
         object.__setattr__(self, "T", float(self.T))
         object.__setattr__(self, "steps", int(self.steps))
-        if self.T <= 0:
-            raise ValueError(f"horizon T must be positive, got {self.T}")
+        if not 0.0 < self.T < np.inf:
+            raise ValueError(f"horizon T must be positive and finite, got {self.T}")
         if self.steps < 1:
             raise ValueError(f"steps must be at least 1, got {self.steps}")
 

@@ -18,6 +18,11 @@ spectrum advance one Duhamel accumulator that also carries the data's heat
 flow, the new frame is one inverse transform of it, and the frame is
 measured against ``u[i]`` and then written over it.  ``e0`` is the same
 sweep without transport, and the residual a sweep that does not write.
+
+The ``thm2`` gate also scans shorter horizons.  ``e0`` is causal, so on
+``[0, t_k]`` it is the first ``k`` time cells of the one stream the gate
+measures, and every horizon rung is a Luxemburg norm of a prefix of that
+stream's norm trace.
 """
 from __future__ import annotations
 
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponents import ExponentField, resample_exponent
+from .exponents import ExponentField, exponent_from_samples
 from .fields import (
     PERIODIC,
     TRUNCATED,
@@ -51,8 +56,6 @@ from .operators import (
 from .varlp import NormValue, luxemburg_norm, mixed_norm
 
 _DIV_TOL = 1e-8
-_LADDER_POINTS = 16
-_LADDER_SPAN = 64.0  # smallest horizon candidate is T / span
 
 
 def _physical_ram() -> int | None:
@@ -106,12 +109,12 @@ class SolverConfig:
         grid = self.u0.grid
         if grid.topology != PERIODIC or grid.dimension != 3:
             raise ValueError("the flow grid must be a three-dimensional torus")
-        if self.frak_p <= 1:
-            raise ValueError(f"frak_p must exceed 1, got {self.frak_p}")
-        if self.tol_fixedpoint <= 0 or self.tol_norm <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        if not 1.0 < self.frak_p < math.inf:
+            raise ValueError(f"frak_p must exceed 1 and be finite, got {self.frak_p}")
+        if not (0.0 < self.tol_fixedpoint < math.inf and 0.0 < self.tol_norm < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not 1 <= self.max_iters < math.inf:
+            raise ValueError(f"max_iters must be finite and at least 1, got {self.max_iters}")
         self._check_memory()
         if self.regime == "thm1":
             if self.p.grid != grid:
@@ -157,8 +160,8 @@ class SolverConfig:
             raise ValueError("thm2 exponent needs one sample per time step")
         if p.p_minus <= 2.0:
             raise ValueError(f"thm2 needs p > 2 everywhere, got minimum {p.p_minus}")
-        if q <= 3.0:
-            raise ValueError(f"thm2 needs q > 3, got {q}")
+        if not 3.0 < q < math.inf:
+            raise ValueError(f"thm2 needs a finite q > 3, got {q}")
         worst = float(np.max(2.0 / p.samples + 3.0 / q))
         if worst >= 1.0:
             raise ValueError(
@@ -170,9 +173,11 @@ class SolverConfig:
 class SmallnessVerdict:
     """Measured smallness gate: data size against the contraction threshold.
 
-    ``ladder`` holds ``(T, delta, threshold, passed)`` rows for the scanned
-    horizon candidates (``thm2`` only, largest first); ``admissible_T`` is
-    the first passing horizon, ``None`` when none passes.
+    ``ladder`` holds ``(T', delta, threshold, passed)`` rows for the node
+    horizons ``T' = t_k``, ``k = steps, ..., 2`` (``thm2`` only, largest
+    first).  Row 0 is the full horizon, and its ``delta`` is ``delta``.
+    ``admissible_T`` is the largest passing horizon, ``None`` when none
+    passes.
     """
 
     delta: float
@@ -261,23 +266,6 @@ def _at_nodes(hats: np.ndarray | None, ws: SpectralWorkspace):
     return hats.__getitem__
 
 
-def _interpolated(hats: np.ndarray | None, src: TimeGrid, tg: TimeGrid,
-                  ws: SpectralWorkspace):
-    """``hat_at_node`` on ``tg`` of force spectra sampled on ``src``: linear
-    in time between the two nearest samples, every frame checked again."""
-    if hats is None or hats.ndim == ws.grid.dimension + 1:
-        return _at_nodes(hats, ws)
-    pos = tg.nodes / src.dt
-    lo = np.minimum(np.floor(pos).astype(int), src.steps - 1)
-    frac = pos - lo
-
-    def hat(i: int) -> np.ndarray:
-        frame = (1.0 - frac[i]) * hats[lo[i]] + frac[i] * hats[lo[i] + 1]
-        _check_force(frame, "sampled force", ws)
-        return frame
-    return hat
-
-
 def bilinear_term(u: SpaceTimeField, ws: SpectralWorkspace) -> SpaceTimeField:
     """Heat-propagated projected transport term of ``u`` against itself."""
     if u.grid != ws.grid:
@@ -307,7 +295,8 @@ class _Trace:
 
     ``thm1`` keeps the pointwise supremum over time of ``|u|^2`` for the
     mixed norm; ``thm2`` keeps the spatial ``L^q`` norm at each node, which
-    is averaged onto time cells for the Luxemburg norm in time.
+    is averaged onto time cells for the Luxemburg norm in time, over every
+    cell or over a prefix of them.
     """
 
     def __init__(self, regime: str, grid: GridSpec, tg: TimeGrid, p: ExponentField,
@@ -318,7 +307,7 @@ class _Trace:
                 raise ValueError("temporal exponent needs one sample per time step")
             if abs(g.extents[0] - tg.T) > 1e-12 * max(1.0, tg.T):
                 raise ValueError("temporal exponent interval must cover [0, T]")
-        self.regime, self.grid, self.p = regime, grid, p
+        self.regime, self.grid, self.tg, self.p = regime, grid, tg, p
         self.q, self.frak_p, self.tol = q, frak_p, tol
         self.sup = None
         self.nodes = []
@@ -336,13 +325,20 @@ class _Trace:
             self.add(frame)
         return self
 
-    def norm(self) -> NormValue:
+    def norm(self, k: int | None = None) -> NormValue:
+        """The regime norm of the frames fed.  For ``thm2``, ``k`` restricts
+        it to the first ``k`` time cells, ``[0, t_k]``, against the samples
+        of ``p`` on those cells; ``None`` takes every cell."""
         if self.regime == "thm1":
             return mixed_norm(ScalarField(np.sqrt(self.sup), self.grid), self.p,
                               self.frak_p, self.tol)
         nodes = np.array(self.nodes)
         cells = 0.5 * (nodes[:-1] + nodes[1:])
-        return luxemburg_norm(ScalarField(cells, self.p.grid), self.p, self.tol)
+        p = self.p
+        if k is not None and k != cells.size:
+            p = exponent_from_samples(
+                p.samples[:k], GridSpec(1, (self.tg.nodes[k],), (k,), TRUNCATED))
+        return luxemburg_norm(ScalarField(cells[:k], p.grid), p, self.tol)
 
 
 def _trace(cfg: SolverConfig) -> _Trace:
@@ -426,61 +422,53 @@ def estimate_bilinear_constant(regime: str, p: ExponentField, q: float | None,
     return best
 
 
-def _horizon_ladder(T: float) -> list[float]:
-    return [float(T * _LADDER_SPAN ** (-j / (_LADDER_POINTS - 1)))
-            for j in range(_LADDER_POINTS)]
-
-
 def smallness_check(cfg: SolverConfig, c_b: float) -> SmallnessVerdict:
     """Measure the data size and compare against the contraction threshold.
 
+    ``c_b`` must be positive and finite; it is checked before any transform.
     ``e0`` is streamed node by node into its norm trace, never stored: the
     force is transformed once, and the data's spectrum starts the Duhamel
     accumulator, so each node frame is one inverse transform.
 
-    For ``thm2`` a decreasing geometric ladder of horizon candidates is
-    scanned as well.  Each rung reuses the same data and force spectra,
-    the force interpolated linearly in time onto its own steps (every
-    interpolated frame passes the divergence check), and streams its ``e0``
-    frames into the norm trace the same way.  The rung thresholds rescale
-    the measured constant by ``(1 + T') / (1 + T)``.  That horizon
-    dependence is assumed, not measured: the library estimates ``c_B`` at
-    the full horizon only.
+    For ``thm2`` the shorter horizons ``T' = t_k``, ``k = steps, ..., 2``,
+    are scanned as well.  ``e0`` is causal, so on ``[0, t_k]`` it is the
+    first ``k`` cells of the stream just measured: a rung's data size is the
+    Luxemburg norm of that prefix of the norm trace, against the samples of
+    ``p`` on the same cells.  That norm only grows with the horizon, so the
+    passing rungs are the shortest ones.  The rung thresholds rescale the
+    measured constant by ``(1 + T') / (1 + T)``.  That horizon dependence is
+    assumed, not measured: the library estimates ``c_B`` at the full horizon
+    only.
     """
+    _check_constant(c_b)
     ws = make_workspace(cfg.u0.grid)
     u0_hat = ws.forward(cfg.u0.values)
     hats = _force_spectra(cfg.force_spec, cfg.tg, ws)
     frames = duhamel_frames(_at_nodes(hats, ws), cfg.tg, ws, u0_hat)
-    return _smallness(cfg, c_b, _trace(cfg).feed(frames).norm().value, u0_hat, hats, ws)
+    return _smallness(cfg, c_b, _trace(cfg).feed(frames))
 
 
-def _smallness(cfg: SolverConfig, c_b: float, delta: float, u0_hat: np.ndarray,
-               hats: np.ndarray | None, ws: SpectralWorkspace) -> SmallnessVerdict:
-    # the gate on a measured data size; the thm2 ladder reuses the caller's
-    # data and force spectra
-    if c_b <= 0:
-        raise ValueError(f"bilinear constant must be positive, got {c_b}")
+def _check_constant(c_b: float) -> None:
+    if not 0.0 < c_b < math.inf:
+        raise ValueError(f"bilinear constant must be positive and finite, got {c_b}")
+
+
+def _smallness(cfg: SolverConfig, c_b: float, trace: _Trace) -> SmallnessVerdict:
+    # the gate on the norm trace of e0; each thm2 rung is a prefix of it
+    delta = trace.norm().value
     threshold = 1.0 / (4.0 * c_b)
     passed = delta < threshold
     if cfg.regime != "thm2":
         return SmallnessVerdict(delta, threshold, c_b, passed)
 
     ladder = []
-    admissible = None
-    for T_cand in _horizon_ladder(cfg.tg.T):
-        steps = max(2, int(round(cfg.tg.steps * T_cand / cfg.tg.T)))
-        tg = TimeGrid(T_cand, steps)
-        p_grid = GridSpec(1, (T_cand,), (steps,), TRUNCATED, (0.0,))
-        p_cand = resample_exponent(cfg.p, p_grid)
-        frames = duhamel_frames(_interpolated(hats, cfg.tg, tg, ws), tg, ws, u0_hat)
-        trace = _Trace("thm2", ws.grid, tg, p_cand, cfg.q, tol=cfg.tol_norm)
-        delta_cand = trace.feed(frames).norm().value
+    for k in range(cfg.tg.steps, 1, -1):
+        T_cand = float(cfg.tg.nodes[k])
+        delta_cand = trace.norm(k).value
         c_cand = c_b * (1.0 + T_cand) / (1.0 + cfg.tg.T)
         thr_cand = 1.0 / (4.0 * c_cand)
-        ok = delta_cand < thr_cand
-        ladder.append((T_cand, delta_cand, thr_cand, ok))
-        if ok and admissible is None:
-            admissible = T_cand
+        ladder.append((T_cand, delta_cand, thr_cand, delta_cand < thr_cand))
+    admissible = next((row[0] for row in ladder if row[3]), None)
     return SmallnessVerdict(delta, threshold, c_b, passed, admissible, tuple(ladder))
 
 
@@ -506,14 +494,14 @@ def picard_solve(cfg: SolverConfig, c_b: float | None = None, trials: int = 3,
     """Run the fixed-point iteration until the increments drop below tolerance.
 
     The solve holds one ``(steps + 1, 3, *grid)`` stack ``u``, plus the
-    spectra of a sampled force, transformed once for ``e0``, the gate, its
-    ``thm2`` ladder and every iterate.  ``c_B``, when not given, is
-    estimated before ``u`` is allocated.  ``e0`` is never stored: its frames
-    fill ``u`` and stream into the data size.  Each iterate is one sweep
-    that forms ``e0 - B(u)`` at node ``i`` as one spectral sum and one
-    inverse transform, checks the frame is finite, measures it and its
-    increment, and overwrites ``u[i]``.  The residual is that sweep without
-    the write.
+    spectra of a sampled force, transformed once for ``e0`` and every
+    iterate.  A given ``c_b`` must be positive and finite; when not given,
+    ``c_B`` is estimated before ``u`` is allocated.  ``e0`` is never stored:
+    its frames fill ``u`` and stream into the norm trace that the gate and
+    its ``thm2`` ladder read.  Each iterate is one sweep that forms
+    ``e0 - B(u)`` at node ``i`` as one spectral sum and one inverse
+    transform, checks the frame is finite, measures it and its increment,
+    and overwrites ``u[i]``.  The residual is that sweep without the write.
 
     ``disable_bilinear`` switches the transport term off (the linear heat
     limit); ``override_smallness`` lets the run proceed past a failed gate,
@@ -526,13 +514,14 @@ def picard_solve(cfg: SolverConfig, c_b: float | None = None, trials: int = 3,
             cfg.regime, cfg.p, cfg.q, cfg.tg, ws, trials, seed, cfg.frak_p, cfg.tol_norm)
         if c_b == 0.0:
             c_b = 1e-30
+    _check_constant(c_b)
     tg, grid = cfg.tg, cfg.u0.grid
     u0_hat = ws.forward(cfg.u0.values)
     hats = _force_spectra(cfg.force_spec, tg, ws)
     force = _at_nodes(hats, ws)
     u = np.zeros((tg.steps + 1, grid.dimension) + grid.shape)
     _, size = _sweep(cfg, u, duhamel_frames(force, tg, ws, u0_hat), "the initial term")
-    verdict = _smallness(cfg, c_b, size.norm().value, u0_hat, hats, ws)
+    verdict = _smallness(cfg, c_b, size)
     if not verdict.passed and not override_smallness:
         raise SmallnessError(
             f"data norm {verdict.delta:.6e} is not below the contraction "

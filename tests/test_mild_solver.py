@@ -29,7 +29,6 @@ from varns import (
     norm_E_thm2,
     picard_solve,
     relative_divergence,
-    resample_exponent,
     smallness_check,
 )
 from varns import mild_solver
@@ -88,6 +87,40 @@ def modulated_force(grid, tg, amplitude=0.05):
     return SpaceTimeField(data, tg, grid)
 
 
+def prefix_reference(cfg):
+    """Each ``thm2`` rung's data size rebuilt the plain way: ``e0`` from
+    ``initial_term``, and its frames ``0..k`` measured by ``norm_E_thm2`` on
+    ``[0, t_k]`` against the first ``k`` exponent samples."""
+    tg = cfg.tg
+    e0 = initial_term(cfg.u0, cfg.force_spec, tg, make_workspace(cfg.u0.grid))
+    ref = []
+    for k in range(tg.steps, 1, -1):
+        T_k = tg.nodes[k]
+        p_k = exponent_from_samples(cfg.p.samples[:k], GridSpec(1, (T_k,), (k,), TRUNCATED))
+        head = SpaceTimeField(e0.data[:k + 1], TimeGrid(T_k, k), cfg.u0.grid)
+        ref.append((T_k, norm_E_thm2(head, p_k, cfg.q, cfg.tol_norm).value))
+    return ref
+
+
+def check_ladder(v, cfg, c_b):
+    """The verdict's rungs against :func:`prefix_reference`: horizons at the
+    nodes, deltas to 1e-12, row 0 the gate itself, the assumed threshold,
+    and the passing rows one tail that starts at ``admissible_T``."""
+    ref = prefix_reference(cfg)
+    assert [row[0] for row in v.ladder] == [T_k for T_k, _ in ref]
+    for (T_cand, delta, thr, passed), (_, want) in zip(v.ladder, ref):
+        assert delta == pytest.approx(want, rel=1e-12, abs=0.0)
+        c_cand = c_b * (1.0 + T_cand) / (1.0 + cfg.tg.T)
+        assert thr == pytest.approx(1.0 / (4.0 * c_cand), rel=1e-12)
+        assert passed == (want < thr)
+    assert v.ladder[0][1] == v.delta
+    assert v.ladder[0][3] == v.passed
+    passed = [row[3] for row in v.ladder]
+    tail = passed.index(True) if True in passed else len(passed)
+    assert all(passed[tail:])
+    assert v.admissible_T == (v.ladder[tail][0] if tail < len(passed) else None)
+
+
 def taylor_green_history(grid, tg):
     X = grid.coords()
     u = (np.cos(X[0]) * np.sin(X[1]) * np.sin(X[2]),
@@ -101,7 +134,31 @@ def taylor_green_history(grid, tg):
     return SpaceTimeField(data, tg, grid)
 
 
+NAN = float("nan")
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("build", [
+        lambda: TimeGrid(NAN, 4),
+        lambda: TimeGrid(np.inf, 4),
+        lambda: GridSpec(1, (NAN,), (4,)),
+        lambda: GridSpec(1, (1.0,), (4,), TRUNCATED, (np.inf,)),
+        lambda: thm2_config(torus(8), TimeGrid(1.0, 8), frak_p=NAN),
+        lambda: thm2_config(torus(8), TimeGrid(1.0, 8), tol_fixedpoint=NAN),
+        lambda: thm2_config(torus(8), TimeGrid(1.0, 8), tol_norm=NAN),
+        lambda: thm2_config(torus(8), TimeGrid(1.0, 8), max_iters=NAN),
+        lambda: thm2_config(torus(8), TimeGrid(1.0, 8), q=NAN),
+        lambda: smallness_check(thm2_config(torus(8), TimeGrid(1.0, 8)), NAN),
+        lambda: smallness_check(thm1_config(torus(8), TimeGrid(1.0, 8)), np.inf),
+        lambda: picard_solve(thm2_config(torus(8), TimeGrid(1.0, 8)), c_b=NAN,
+                             override_smallness=True),
+    ], ids=["T-nan", "T-inf", "extent-nan", "origin-inf", "frak_p-nan",
+            "tol_fixedpoint-nan", "tol_norm-nan", "max_iters-nan", "q-nan", "gate-c_b-nan",
+            "gate-c_b-inf", "solve-c_b-nan"])
+    def test_non_finite_input_is_rejected(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
     def test_bad_regime(self):
         g = torus(8)
         with pytest.raises(ValueError):
@@ -434,13 +491,13 @@ class TestSmallnessGate:
 
     def test_horizon_ladder_shape(self):
         g = torus(8)
-        cfg = thm2_config(g, TimeGrid(1.0, 32), amplitude=0.05)
+        tg = TimeGrid(1.0, 32)
+        cfg = thm2_config(g, tg, amplitude=0.05)
         v = smallness_check(cfg, 0.05)
-        assert len(v.ladder) == 16
         horizons = [row[0] for row in v.ladder]
-        assert horizons[0] == pytest.approx(1.0)
-        assert horizons[-1] == pytest.approx(1.0 / 64.0)
-        assert all(a > b for a, b in zip(horizons, horizons[1:]))
+        assert horizons == list(tg.nodes[32:1:-1])
+        assert horizons[0] == 1.0
+        check_ladder(v, cfg, 0.05)
 
     def test_small_amplitude_admissible_at_the_full_horizon(self):
         g = torus(8)
@@ -460,40 +517,33 @@ class TestSmallnessGate:
         assert all(a >= b for a, b in zip(seen, seen[1:]))
         assert seen[0] > seen[-1]
 
-    def test_ladder_matches_physical_interpolation(self):
-        # every rung rebuilt the plain way: the force history interpolated
-        # linearly in time in physical space, then initial_term and the norm
+    def test_ladder_matches_physical_prefixes(self):
         g = torus(8)
         tg = TimeGrid(1.0, 16)
-        force = modulated_force(g, tg)
-        cfg = thm2_config(g, tg, amplitude=0.3, force=force)
-        ws = make_workspace(g)
-
-        def rung_delta(T_cand):
-            steps = max(2, int(round(tg.steps * T_cand / tg.T)))
-            rung = TimeGrid(T_cand, steps)
-            pos = rung.nodes / tg.dt
-            lo = np.minimum(np.floor(pos).astype(int), tg.steps - 1)
-            frac = (pos - lo)[:, None, None, None, None]
-            history = (1.0 - frac) * force.data[lo] + frac * force.data[lo + 1]
-            e0 = initial_term(cfg.u0, SpaceTimeField(history, rung, g), rung, ws)
-            p_grid = GridSpec(1, (T_cand,), (steps,), TRUNCATED, (0.0,))
-            return norm_E_thm2(e0, resample_exponent(cfg.p, p_grid), cfg.q, cfg.tol_norm).value
-
-        probe = smallness_check(cfg, 1.0)
-        ref = [rung_delta(row[0]) for row in probe.ladder]
+        cfg = thm2_config(g, tg, amplitude=0.3, force=modulated_force(g, tg))
+        ref = prefix_reference(cfg)
         # put the verdict between rungs 7 and 8, away from every rung's threshold
-        scaled = [d * (1.0 + row[0]) / (1.0 + tg.T) for d, row in zip(ref, probe.ladder)]
+        scaled = [d * (1.0 + T_k) / (1.0 + tg.T) for T_k, d in ref]
         assert scaled[7] > scaled[8]
         c_b = 1.0 / (4.0 * np.sqrt(scaled[7] * scaled[8]))
         v = smallness_check(cfg, c_b)
-        assert len(v.ladder) == len(ref) == 16
-        for (T_cand, delta, thr, passed), want in zip(v.ladder, ref):
-            assert delta == pytest.approx(want, rel=1e-12, abs=0.0)
-            assert passed == (want < thr)
-        first = next(row[0] for row, want in zip(v.ladder, ref) if want < row[2])
-        assert v.admissible_T == first
-        assert v.admissible_T not in (None, v.ladder[0][0])
+        assert len(v.ladder) == tg.steps - 1
+        check_ladder(v, cfg, c_b)
+        assert v.admissible_T == v.ladder[8][0]
+
+    def test_ladder_does_not_depend_on_how_the_exponent_is_stored(self):
+        # a closed form and its raw samples are the same p(t): both are
+        # restricted to each rung, never re-evaluated on a shorter box
+        g = torus(8)
+        tg = TimeGrid(1.0, 16)
+        pg = GridSpec(1, (tg.T,), (tg.steps,), TRUNCATED, (0.0,))
+        closed = make_exponent("sinusoidal", (3.5, 0.5), pg)
+        raw = exponent_from_samples(closed.samples, closed.grid)
+        force = modulated_force(g, tg)
+        ladders = [smallness_check(thm2_config(g, tg, amplitude=0.3, force=force, p=p),
+                                   1.0).ladder
+                   for p in (closed, raw)]
+        assert ladders[0] == ladders[1]
 
     def test_divergent_sampled_force_fails_the_thm2_gate(self):
         g = torus(8)
@@ -515,8 +565,9 @@ class TestSmallnessGate:
             data[i, 1] = 0.01 * np.cos(t) * wave
         cfg = thm2_config(g, tg, amplitude=0.02, force=SpaceTimeField(data, tg, g))
         v = smallness_check(cfg, 0.05)
-        assert len(v.ladder) == 16
+        assert len(v.ladder) == tg.steps - 1
         assert v.passed
+        check_ladder(v, cfg, 0.05)
 
 
 class TestFixedPoint:
