@@ -12,6 +12,7 @@ which gives the same bits.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,8 +99,10 @@ class CampaignConfig:
             raise ValueError(
                 f"refinement levels must be at least 1, got {self.refinement_levels}"
             )
-        if self.bound <= 0:
-            raise ValueError(f"bound must be positive, got {self.bound}")
+        for name in ("bound", "tol", "frak_p", "sigma"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.corpus_kind not in KINDS:
             raise ValueError(f"unknown corpus kind {self.corpus_kind!r}")
         object.__setattr__(self, "grids", tuple(self.grids))

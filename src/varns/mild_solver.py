@@ -9,8 +9,10 @@ limit stays within ``2 delta`` in the regime norm.
 Two regimes are supported: ``thm1`` measures iterates in a mixed norm of
 the pointwise-in-space supremum over time, ``thm2`` in a Luxemburg norm in
 time of the spatial fixed-exponent norm trace.  Every spectral step (the
-transforms, divergence, Leray projection, transport spectrum and Duhamel
-sum) comes from :mod:`varns.operators`.
+transforms, divergence, Leray projection and transport spectrum) comes from
+:mod:`varns.operators`, and every Duhamel sum (``e0``, ``B(u)`` and each
+iterate) is a stream of its one recurrence,
+:func:`~varns.operators.duhamel_frames`.
 
 A solve holds one space-time stack.  ``B(u)`` is causal, so each iterate is
 one sweep over the nodes: the transport spectrum of ``u[i]`` and the force
@@ -210,21 +212,25 @@ def initial_term(u0: VectorField, force_spec, tg: TimeGrid,
     The forcing may be ``None``, a static tensor whose row divergence is
     the force, or a sampled space-time history.  Either way the resulting
     force must be divergence-free to ``1e-8`` relative or the call fails.
-    A static force is transformed once and a sampled one once per node.
-    The data's spectrum starts the Duhamel accumulator of
-    :func:`duhamel_spectra`, whose one-step decay carries its heat flow, so
-    each node costs one inverse transform.  This is the frame stream that
-    :func:`picard_solve` measures without storing.
+    A static force is transformed once and a sampled one once per node,
+    and each node costs one inverse transform (:func:`_e0_frames`).
+    :func:`smallness_check` and :func:`picard_solve` measure the same
+    frames without storing them.
     """
     grid = ws.grid
     if u0.grid != grid:
         raise ValueError("data and workspace grids differ")
-    hats = _force_spectra(force_spec, tg, ws)
     data = np.empty((tg.steps + 1, grid.dimension) + grid.shape)
-    frames = duhamel_frames(_at_nodes(hats, ws), tg, ws, ws.forward(u0.values))
-    for i, frame in enumerate(frames):
+    for i, frame in enumerate(_e0_frames(u0, force_spec, tg, ws)):
         data[i] = frame
     return SpaceTimeField(data, tg, grid)
+
+
+def _e0_frames(u0: VectorField, force_spec, tg: TimeGrid, ws: SpectralWorkspace):
+    """Node frames of ``e0``: the data's spectrum starts the Duhamel
+    accumulator of the checked force, whose one-step decay carries the
+    data's heat flow, so each node costs one inverse transform."""
+    return duhamel_frames(_force_at_nodes(force_spec, tg, ws), tg, ws, ws.forward(u0.values))
 
 
 def _check_force(hat: np.ndarray, what: str, ws: SpectralWorkspace) -> None:
@@ -233,10 +239,10 @@ def _check_force(hat: np.ndarray, what: str, ws: SpectralWorkspace) -> None:
         raise ForceDivergenceError(f"{what} has relative divergence {defect:.3e} > {_DIV_TOL}")
 
 
-def _force_spectra(force_spec, tg: TimeGrid, ws: SpectralWorkspace) -> np.ndarray | None:
-    """Checked spectra of a forcing: ``None`` for no forcing, the static
-    ``(dim, *half)`` spectrum of a tensor's row divergence, or the
-    ``(steps + 1, dim, *half)`` stack of a history sampled on ``tg``."""
+def _force_at_nodes(force_spec, tg: TimeGrid, ws: SpectralWorkspace):
+    """Checked ``hat_at_node`` of a forcing on ``tg``: ``None`` for no
+    forcing, the static spectrum of a tensor's row divergence at every node,
+    or the spectra of a sampled history, each node transformed once."""
     grid = ws.grid
     if force_spec is None:
         return None
@@ -245,7 +251,7 @@ def _force_spectra(force_spec, tg: TimeGrid, ws: SpectralWorkspace) -> np.ndarra
             raise ValueError("tensor force and workspace grids differ")
         hat = _div_hat(ws.forward(force_spec.values), ws)
         _check_force(hat, "tensor force", ws)
-        return hat
+        return lambda i: hat
     if isinstance(force_spec, SpaceTimeField):
         if force_spec.grid != grid or force_spec.tg != tg:
             raise ValueError("sampled force does not match the requested grids")
@@ -253,17 +259,8 @@ def _force_spectra(force_spec, tg: TimeGrid, ws: SpectralWorkspace) -> np.ndarra
         for i, frame in enumerate(force_spec.data):
             hats[i] = ws.forward(frame)
             _check_force(hats[i], "sampled force", ws)
-        return hats
+        return hats.__getitem__
     raise TypeError(f"unsupported force specification {type(force_spec)!r}")
-
-
-def _at_nodes(hats: np.ndarray | None, ws: SpectralWorkspace):
-    """``hat_at_node`` of :func:`_force_spectra`'s result on its own time grid."""
-    if hats is None:
-        return None
-    if hats.ndim == ws.grid.dimension + 1:  # static
-        return lambda i: hats
-    return hats.__getitem__
 
 
 def bilinear_term(u: SpaceTimeField, ws: SpectralWorkspace) -> SpaceTimeField:
@@ -442,9 +439,7 @@ def smallness_check(cfg: SolverConfig, c_b: float) -> SmallnessVerdict:
     """
     _check_constant(c_b)
     ws = make_workspace(cfg.u0.grid)
-    u0_hat = ws.forward(cfg.u0.values)
-    hats = _force_spectra(cfg.force_spec, cfg.tg, ws)
-    frames = duhamel_frames(_at_nodes(hats, ws), cfg.tg, ws, u0_hat)
+    frames = _e0_frames(cfg.u0, cfg.force_spec, cfg.tg, ws)
     return _smallness(cfg, c_b, _trace(cfg).feed(frames))
 
 
@@ -517,8 +512,7 @@ def picard_solve(cfg: SolverConfig, c_b: float | None = None, trials: int = 3,
     _check_constant(c_b)
     tg, grid = cfg.tg, cfg.u0.grid
     u0_hat = ws.forward(cfg.u0.values)
-    hats = _force_spectra(cfg.force_spec, tg, ws)
-    force = _at_nodes(hats, ws)
+    force = _force_at_nodes(cfg.force_spec, tg, ws)
     u = np.zeros((tg.steps + 1, grid.dimension) + grid.shape)
     _, size = _sweep(cfg, u, duhamel_frames(force, tg, ws, u0_hat), "the initial term")
     verdict = _smallness(cfg, c_b, size)

@@ -7,12 +7,14 @@ trailing ``grid.dimension`` axes, and every leading axis (vector
 components, tensor rows, batches of products) is a batch axis.  Each public
 spectral operator is forward transform, hat-level helper, inverse
 transform; :mod:`varns.mild_solver` takes its spectral steps from the same
-helpers, among them the projected transport spectrum of one frame and the
-Duhamel recurrence, which streams node frames so that a history need not
-be stored.  Odd (derivative-type) symbols use wavenumbers with the Nyquist
-plane zeroed, the standard convention that keeps real fields real and
-makes the first-order identities exact on band-limited data; even symbols
-such as the heat multiplier use the full wavenumbers.
+helpers.  There is one copy of each: the projected transport spectrum of
+one frame ends in the Leray projection of :func:`leray_project`, and
+:func:`duhamel_frames` is the one Duhamel recurrence, streaming node frames
+so that a history need not be stored.  Odd (derivative-type) symbols use
+wavenumbers with the Nyquist plane zeroed, the standard convention that
+keeps real fields real and makes the first-order identities exact on
+band-limited data; even symbols such as the heat multiplier use the full
+wavenumbers.
 
 The real-space operators (maximal averages, the fractional integral and
 the radial-majorant check) take stacks as well: ``(..., *grid.shape)``
@@ -74,14 +76,14 @@ def worker_count() -> int:
 class SpectralWorkspace:
     """Precomputed wavenumber tables for one periodic grid.
 
-    ``k`` are the full wavenumbers (even symbols), ``k_deriv`` the
-    Nyquist-zeroed ones (odd symbols); both are broadcastable against the
-    half-complex spectrum layout of the real FFT.  ``forward`` and
-    ``inverse`` transform over the trailing grid axes of a stack.
+    ``k_deriv`` are the Nyquist-zeroed wavenumbers (odd symbols), ``k2``
+    the squared full ones (even symbols) and ``k2_deriv`` the squared
+    Nyquist-zeroed ones; all are broadcastable against the half-complex
+    spectrum layout of the real FFT.  ``forward`` and ``inverse`` transform
+    over the trailing grid axes of a stack.
     """
 
     grid: GridSpec
-    k: tuple[np.ndarray, ...]
     k_deriv: tuple[np.ndarray, ...]
     k2: np.ndarray
     k2_deriv: np.ndarray
@@ -127,7 +129,7 @@ def _workspace(grid: GridSpec, workers: int) -> SpectralWorkspace:
         k_deriv.append(kd.reshape(shape))
     k2 = sum(k * k for k in k_full)
     k2_deriv = sum(k * k for k in k_deriv)
-    return SpectralWorkspace(grid, tuple(k_full), tuple(k_deriv), k2, k2_deriv, workers)
+    return SpectralWorkspace(grid, tuple(k_deriv), k2, k2_deriv, workers)
 
 
 # Hat-level helpers.  ``hats`` is a spectrum stack whose first axis runs
@@ -145,20 +147,23 @@ def _k_dot(hats: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
 
 
 def _leray_hat(hats: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    """Divergence-free part of a vector spectrum; the mean mode passes through."""
-    dot = _k_dot(hats, ws)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(ws.k2_deriv > 0.0, dot / np.where(ws.k2_deriv > 0, ws.k2_deriv, 1.0), 0.0)
-    return np.stack([hats[j] - ws.k_deriv[j] * scale for j in range(ws.grid.dimension)])
+    """Project a vector spectrum onto its divergence-free part in place and
+    return it; the mean mode passes through."""
+    scale = _k_dot(hats, ws)
+    # where k2_deriv is 0 every k_deriv is 0, so scale is 0 there already
+    scale /= np.where(ws.k2_deriv > 0.0, ws.k2_deriv, 1.0)
+    for j in range(ws.grid.dimension):
+        hats[j] -= ws.k_deriv[j] * scale
+    return hats
 
 
 def _transport_hat(u: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
     """Leray-projected divergence spectrum of ``u (x) u`` for one vector frame.
 
     The product tensor is symmetric, so only its upper triangle is
-    transformed.  The row divergence and the projection are the sums of
-    ``_leray_hat(_div_hat(full))``, run in one output buffer straight from
-    the upper-triangle spectra, without building the full tensor.
+    transformed.  The row divergence is the sum of ``_div_hat(full)``, run
+    in one output buffer straight from the upper-triangle spectra without
+    building the full tensor, and :func:`_leray_hat` projects that buffer.
     """
     dim = ws.grid.dimension
     upper = np.triu_indices(dim)
@@ -171,12 +176,7 @@ def _transport_hat(u: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
         np.multiply(ik[0], products[row[0, m]], out=out[m])
         for l in range(1, dim):
             out[m] += ik[l] * products[row[l, m]]
-    scale = _k_dot(out, ws)
-    # where k2_deriv is 0 every k_deriv is 0, so scale is 0 there already
-    scale /= np.where(ws.k2_deriv > 0.0, ws.k2_deriv, 1.0)
-    for j in range(dim):
-        out[j] -= ws.k_deriv[j] * scale
-    return out
+    return _leray_hat(out, ws)
 
 
 def _parseval_weights(ws: SpectralWorkspace) -> np.ndarray:
@@ -250,25 +250,26 @@ def heat_convolve(f, t: float, ws: SpectralWorkspace):
     return type(f)(ws.inverse(_heat_multiplier(t, ws) * ws.forward(f.values)), ws.grid)
 
 
-def duhamel_spectra(hat_at_node, tg: TimeGrid, ws: SpectralWorkspace, start=None):
-    """Trapezoid-in-time heat accumulation of a spectral forcing history.
+def duhamel_frames(hat_at_node, tg: TimeGrid, ws: SpectralWorkspace, start=None):
+    """Trapezoid-in-time heat accumulation of a spectral forcing history,
+    yielded as physical node frames.
 
     ``hat_at_node(i)`` must return the stacked component spectra at node
     ``i``, or ``hat_at_node`` is ``None`` for no forcing.  It is called once
-    per node, in order, and always before the accumulator at that node is
+    per node, in order, and always before the frame at that node is
     yielded, so a caller may overwrite its node-``i`` input once node ``i``
-    has been yielded.  Yields the accumulator spectrum at nodes
-    ``0 .. steps``: ``start`` (zero when ``None``) at node 0.  The running
-    form multiplies the accumulator by the one-step decay, which reproduces
-    the trapezoid rule applied to the closed-form integrand and carries the
-    heat flow of ``start`` along.  Every yield is the same buffer, updated
-    in place: use it before advancing, or copy it.
+    has been yielded.  Yields the accumulator at nodes ``0 .. steps``, one
+    inverse transform per node: node 0 is the inverse of ``start``, or
+    exactly zero when there is no ``start``.  The running form multiplies
+    the accumulator spectrum by the one-step decay, which reproduces the
+    trapezoid rule applied to the closed-form integrand and carries the
+    heat flow of ``start`` along.
     """
     decay = _heat_multiplier(tg.dt, ws)
-    shape = (ws.grid.dimension,) + ws.k2.shape
-    acc = np.zeros(shape, dtype=complex) if start is None else np.array(start, dtype=complex)
+    dim = ws.grid.dimension
+    acc = np.zeros((dim,) + ws.k2.shape, complex) if start is None else np.array(start, complex)
     prev = None if hat_at_node is None else np.asarray(hat_at_node(0))
-    yield acc
+    yield np.zeros((dim,) + ws.grid.shape) if start is None else ws.inverse(acc)
     half = 0.5 * tg.dt
     for i in range(1, tg.steps + 1):
         acc *= decay
@@ -276,17 +277,7 @@ def duhamel_spectra(hat_at_node, tg: TimeGrid, ws: SpectralWorkspace, start=None
             cur = np.asarray(hat_at_node(i))
             acc += half * (decay * prev + cur)
             prev = cur
-        yield acc
-
-
-def duhamel_frames(hat_at_node, tg: TimeGrid, ws: SpectralWorkspace, start=None):
-    """Physical node frames of :func:`duhamel_spectra`, one inverse transform
-    per node; node 0 is exactly zero when there is no ``start``."""
-    for i, acc in enumerate(duhamel_spectra(hat_at_node, tg, ws, start)):
-        if i == 0 and start is None:
-            yield np.zeros((ws.grid.dimension,) + ws.grid.shape)
-        else:
-            yield ws.inverse(acc)
+        yield ws.inverse(acc)
 
 
 def duhamel_accumulate(hat_at_node, tg: TimeGrid, ws: SpectralWorkspace) -> np.ndarray:
@@ -495,6 +486,9 @@ def radial_majorant_defects(phi: ScalarField, values) -> np.ndarray:
     - **Verify.**  Points are visited in descending ``UB``, 16 at a time.
       At each, ``Mf`` is summed exactly from a periodically padded copy of
       ``|f|``: shell sums, then their cumulative sums over the ladder.  The
+      same gather against ``phi`` at the mirrored offsets sums ``|phi * f|``
+      over the support ball, and one FFT convolution of the kernel's tail
+      beyond it (values below ``1e-13`` of the peak) adds the rest.  The
       search stops once the next bound is at most ``best * (1 + slack)``,
       ``slack = 4 * eps * log2(N)``.  That covers the bound's own round-off
       (``2e`` relative where the averages are of the size of ``max|f|``), so
@@ -510,9 +504,9 @@ def radial_majorant_defects(phi: ScalarField, values) -> np.ndarray:
     A point is live when its support ball meets the support of ``f``,
     counted exactly by rounding an FFT convolution of the indicator of
     ``f != 0``; elsewhere ``Mf = 0`` and the point is skipped.  Where every
-    average is below ``e``, ``phi * f`` carries round-off of its own size,
-    and the ratio there is resolved no better than the FFT resolves it.
-    The kernel checks run once per call.
+    average is below ``e``, an FFT ``phi * f`` would be round-off of its own
+    size, but the verified ratios are summed, so they hold there too.  The
+    kernel checks run once per call.
     """
     grid = phi.grid
     if grid.topology != PERIODIC:
@@ -556,11 +550,20 @@ def radial_majorant_defects(phi: ScalarField, values) -> np.ndarray:
     radii, starts = np.unique(flat_keys[offsets], return_index=True)
     sizes = np.append(starts[1:], offsets.size)
     pad, jumps, base = _padded_gather(grid.shape, offsets)
+    # phi * f at x is the gather at x + offset against phi at -offset, plus
+    # the kernel's tail beyond the support ball
+    mirror = np.ravel_multi_index(
+        [-m % n for m, n in zip(np.unravel_index(offsets, grid.shape), grid.shape)], grid.shape)
+    weights = grid.cell_volume * rolled.ravel()[mirror]
+    tail = rolled.copy()
+    tail.ravel()[offsets] = 0.0
+    tail = grid.cell_volume * ws.inverse(ws.forward(tail) * fhat)
 
     batch = fa.shape[:fa.ndim - grid.dimension]
     fa = fa.reshape((-1,) + grid.shape)
     fhat = fhat.reshape((len(fa),) + fhat.shape[fhat.ndim - grid.dimension:])
     conv = np.abs(conv).reshape(len(fa), -1)
+    tail = tail.reshape(len(fa), -1)
     support_hat = ws.forward((keys <= radii[-1]).astype(float))
     live = ws.inverse(ws.forward((fa != 0).astype(float)) * support_hat) > 0.5
     live = live.reshape(len(fa), -1)
@@ -599,9 +602,11 @@ def radial_majorant_defects(phi: ScalarField, values) -> np.ndarray:
                 ratios[j] = best
                 return False
             chunk = points[s:s + _VERIFY_CHUNK]
-            shell_sums = np.add.reduceat(wrapped[base(chunk)[:, None] + jumps], starts, axis=1)
+            gathered = wrapped[base(chunk)[:, None] + jumps]
+            shell_sums = np.add.reduceat(gathered, starts, axis=1)
             mf = (np.cumsum(shell_sums, axis=1) / sizes).max(axis=1)
-            best = max(best, float(np.max(conv[j, chunk] / (l1 * mf))))
+            num = np.abs((gathered * weights).sum(axis=1) + tail[j, chunk])
+            best = max(best, float(np.max(num / (l1 * mf))))
         ratios[j] = best
         return True
 

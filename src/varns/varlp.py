@@ -9,6 +9,7 @@ to its value, at any scale.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,8 @@ def modular(f: ScalarField, p: ExponentField) -> float:
 
 def classical_norm(f: ScalarField, q: float) -> float:
     """Constant-exponent Lebesgue norm by direct quadrature."""
-    if q <= 0:
-        raise ValueError(f"classical exponent must be positive, got {q}")
+    if not 0.0 < q < math.inf:
+        raise ValueError(f"classical exponent must be positive and finite, got {q}")
     return float((f.grid.cell_volume * np.sum(np.abs(f.values) ** q)) ** (1.0 / q))
 
 
@@ -73,8 +74,8 @@ def luxemburg_norm(f: ScalarField, p: ExponentField, tol: float = 1e-8) -> NormV
     half-width, at most ``tol * value``.
     """
     require_same_grid(f, p)
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     a = np.abs(f.values)
     live = a > 0.0
     if not live.any():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 
@@ -15,10 +16,13 @@ from varns import (
     ScalarField,
     TensorField,
     VectorField,
+    classical_norm,
     divergence,
     leray_project,
+    luxemburg_norm,
     make_exponent,
     make_workspace,
+    mixed_norm,
     modular,
     picard_solve,
     tensor_divergence,
@@ -239,10 +243,38 @@ class TestAntisymmetricTensor:
                               2.0 * base.components[0][1].values)
 
 
+def _line_field():
+    g = GridSpec(1, (2.0,), (16,), TRUNCATED, (-1.0,))
+    return ScalarField(np.exp(-g.coords()[0] ** 2), g), make_exponent("constant", (3.0,), g)
+
+
+def _campaign(**changes):
+    return dataclasses.replace(default_campaign_config("proposition1"), **changes)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: luxemburg_norm(*_line_field(), tol=float("nan")),
+    lambda: luxemburg_norm(*_line_field(), tol=float("inf")),
+    lambda: classical_norm(_line_field()[0], float("nan")),
+    lambda: classical_norm(_line_field()[0], float("inf")),
+    lambda: mixed_norm(*_line_field(), float("nan")),
+    lambda: _campaign(bound=float("nan")),
+    lambda: _campaign(bound=float("inf")),
+    lambda: _campaign(tol=float("nan")),
+    lambda: _campaign(frak_p=float("nan")),
+    lambda: _campaign(frak_p=-1.5),
+    lambda: _campaign(sigma=float("inf")),
+], ids=["lux-tol-nan", "lux-tol-inf", "classical-q-nan", "classical-q-inf", "mixed-frak_p-nan",
+        "campaign-bound-nan", "campaign-bound-inf", "campaign-tol-nan", "campaign-frak_p-nan",
+        "campaign-frak_p-negative", "campaign-sigma-inf"])
+def test_non_finite_or_negative_parameters_are_rejected(build):
+    with pytest.raises(ValueError, match="positive and finite"):
+        build()
+
+
 class TestCampaignConfig:
     def test_validation_rejects_malformed_configs(self):
         good = default_campaign_config("holder")
-        import dataclasses
         with pytest.raises(ValueError, match="unknown campaign target"):
             dataclasses.replace(good, target="frobnicate")
         with pytest.raises(ValueError, match="at least 1"):

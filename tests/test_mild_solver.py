@@ -184,6 +184,14 @@ class TestConfigValidation:
         # the transverse wave survives the projection
         assert np.max(np.abs(cfg.u0.components[1].values - keep)) < 1e-12
 
+    def test_projection_leaves_the_callers_data_untouched(self):
+        g = torus(8)
+        values = np.random.default_rng(6).standard_normal((3,) + g.shape)
+        before = values.copy()
+        cfg = thm1_config(g, TimeGrid(1.0, 8), u0=VectorField(values, g))
+        assert relative_divergence(cfg.u0, make_workspace(g)) < 1e-12
+        assert np.array_equal(values, before)
+
     def test_temporal_exponent_grid_is_checked(self):
         g = torus(8)
         tg = TimeGrid(1.0, 16)

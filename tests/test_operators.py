@@ -31,6 +31,7 @@ from varns import (
     SpaceTimeField,
     TensorField,
 )
+from varns.operators import _transport_hat, duhamel_frames
 
 TWO_PI = 2.0 * np.pi
 RIESZ_HALF_AT_TWO = 0.8284271247461903  # 2 (sqrt 2 - 1)
@@ -126,6 +127,32 @@ class TestSpectralIdentities:
         assert relative_divergence(out, ws) < 1e-12
         div = divergence(out, ws)
         assert np.max(np.abs(div.values)) < 1e-11
+
+    def test_projection_leaves_its_input_untouched(self):
+        g = torus(12)
+        ws = make_workspace(g)
+        values = np.stack([smooth_random(g, s).values for s in (8, 9, 10)])
+        before = values.copy()
+        leray_project(VectorField(values, g), ws)
+        assert np.array_equal(values, before)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_transport_spectrum_matches_the_full_tensor_formula(self, workers):
+        # u (x) u in full, its transform, the row divergence with i k on
+        # Nyquist-zeroed wavenumbers, then the projection, all in plain numpy
+        g = torus(12)
+        ws = make_workspace(g, workers)
+        u = np.random.default_rng(11).standard_normal((3,) + g.shape)
+        n = g.resolution[0]
+        k = 2.0 * np.pi * np.fft.fftfreq(n, d=g.spacings[0])
+        k[n // 2] = 0.0
+        kk = np.array(np.meshgrid(k, k, k[:n // 2 + 1], indexing="ij"))
+        tensor = np.fft.rfftn(u[:, None] * u[None, :], axes=(-3, -2, -1))
+        div = np.einsum("l...,lm...->m...", 1j * kk, tensor)
+        k2 = np.sum(kk * kk, axis=0)
+        want = div - kk * np.sum(kk * div, axis=0) / np.where(k2 > 0, k2, 1.0)
+        got = _transport_hat(u, ws)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_relative_divergence_of_a_gradient_is_one(self):
         g = torus()
@@ -329,7 +356,6 @@ class TestDuhamel:
 
     def test_each_node_is_read_before_it_is_yielded(self):
         # the solver overwrites its node-i input once node i has been yielded
-        from varns.operators import duhamel_spectra
         g = torus(8)
         ws = make_workspace(g)
         tg = TimeGrid(0.5, 6)
@@ -339,7 +365,7 @@ class TestDuhamel:
             calls.append(i)
             return np.zeros((3,) + ws.k2.shape, dtype=complex)
 
-        for i, _ in enumerate(duhamel_spectra(hat, tg, ws)):
+        for i, _ in enumerate(duhamel_frames(hat, tg, ws)):
             assert calls == list(range(i + 1))
         assert calls == list(range(tg.steps + 1))
 
@@ -721,6 +747,15 @@ class TestRadialMajorantExactness:
             got = radial_majorant_defect(phi, f)
             assert got <= 1.0
             assert got == pytest.approx(direct_majorant(phi, f), rel=1e-12)
+
+    def test_round_off_level_field_stays_under_the_layer_cake_bound(self):
+        # near the corner |f| is 1e-20 against max|f| = 1, so an FFT phi * f
+        # there is round-off and its ratio read 1.004
+        g = TestRadialDominationGap().grid()
+        ball = ScalarField((radial_distance(g) <= 1.4).astype(float), g)
+        values = np.exp(-radial_distance(g) ** 2)
+        values[0, 0, 0] += 1e-20
+        assert radial_majorant_defect(ball, ScalarField(values, g)) <= 1.0 + 1e-14
 
     def test_zero_field_reads_zero(self):
         g, phi = campaign_torus(12)
