@@ -21,6 +21,18 @@ flow, the new frame is one inverse transform of it, and the frame is
 measured against ``u[i]`` and then written over it.  ``e0`` is the same
 sweep without transport, and the residual a sweep that does not write.
 
+Every transport stream is a two-stage pipeline on one helper thread.  The
+transport spectrum of node ``i + 1`` reads only the old ``u[i + 1]``, never
+the accumulator, so the helper forms it while the calling thread advances
+the accumulator, inverts, checks and measures node ``i`` and writes
+``u[i]``.  A spectrum the helper has not started when it is needed is
+formed by the calling thread.  Either thread computes it with the same
+arithmetic, so every output is bit for bit that of a serial sweep.  The
+helper belongs to the call that streams (:func:`picard_solve`,
+:func:`estimate_bilinear_constant` or :func:`bilinear_term`) and is shut
+down when that call returns or raises.  ``VARNS_THREADS`` still sets the
+FFT workers of each transform.
+
 The ``thm2`` gate also scans shorter horizons.  ``e0`` is causal, so on
 ``[0, t_k]`` it is the first ``k`` time cells of the one stream the gate
 measures, and every horizon rung is a Luxemburg norm of a prefix of that
@@ -28,8 +40,10 @@ stream's norm trace.
 """
 from __future__ import annotations
 
+import contextvars
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,21 +281,49 @@ def bilinear_term(u: SpaceTimeField, ws: SpectralWorkspace) -> SpaceTimeField:
     """Heat-propagated projected transport term of ``u`` against itself."""
     if u.grid != ws.grid:
         raise ValueError("field and workspace grids differ")
-    return SpaceTimeField(duhamel_accumulate(_transport_at_nodes(u.data, ws), u.tg, ws),
-                          u.tg, u.grid)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        data = duhamel_accumulate(_transport_at_nodes(u.data, ws, pool), u.tg, ws)
+    return SpaceTimeField(data, u.tg, u.grid)
 
 
-def _transport_at_nodes(u: np.ndarray, ws: SpectralWorkspace):
-    """``hat_at_node`` of the transport spectrum of a history stack ``u``."""
-    return lambda i: _transport_hat(u[i], ws)
+def _transport_at_nodes(u: np.ndarray, ws: SpectralWorkspace, pool: ThreadPoolExecutor):
+    """``hat_at_node`` of the transport spectrum of a history stack ``u``,
+    formed on ``pool``'s one thread a node ahead of the caller.
+
+    Handing out node ``i`` starts node ``i + 1``, so that spectrum is formed
+    while the caller advances its accumulator, inverts and measures node
+    ``i``.  The job for node ``i + 1`` reads only ``u[i + 1]``, which
+    :func:`~varns.operators.duhamel_frames` lets the caller overwrite only
+    after that node is handed out and yielded.  Each job runs in a copy of
+    the submitting context, so it keeps the caller's numpy error state.  A
+    node whose job has not started (node 0 of each sweep, or any node while
+    the helper waits for a core) is formed by the calling thread instead, so
+    a sweep never waits for the helper to start a job.
+    """
+    ahead = None  # the node in flight and its future
+
+    def submit(i: int):
+        return pool.submit(contextvars.copy_context().run, _transport_hat, u[i], ws)
+
+    def hat(i: int) -> np.ndarray:
+        nonlocal ahead
+        job = ahead[1] if ahead is not None and ahead[0] == i else None
+        ahead = (i + 1, submit(i + 1)) if i + 1 < len(u) else None
+        if job is None or job.cancel():
+            return _transport_hat(u[i], ws)
+        return job.result()
+    return hat
 
 
-def _iterate_at_nodes(u: np.ndarray, force, ws: SpectralWorkspace):
+def _iterate_at_nodes(u: np.ndarray, force, ws: SpectralWorkspace, pool: ThreadPoolExecutor):
     """``hat_at_node`` of the next iterate ``e0 - B(u)``: the force spectrum
     (``force`` is a ``hat_at_node`` or ``None``) minus the transport
-    spectrum of ``u`` at the same node."""
+    spectrum of ``u`` at the same node, which is formed a node ahead on
+    ``pool``."""
+    transport = _transport_at_nodes(u, ws, pool)
+
     def hat(i: int) -> np.ndarray:
-        g = _transport_hat(u[i], ws)
+        g = transport(i)
         return np.negative(g, out=g) if force is None else force(i) - g
     return hat
 
@@ -402,20 +444,23 @@ def estimate_bilinear_constant(regime: str, p: ExponentField, q: float | None,
     Trial fields are seeded divergence-free plane-wave packets with smooth
     time modulation, so repeated calls are deterministic and more trials
     can only raise the estimate.  ``B(u,u)`` is streamed node by node into
-    its norm, so one trial stack is the only history held.
+    its norm, so one trial stack is the only history held.  The transport
+    spectrum of the next node is formed on one helper thread while the
+    current node is accumulated, inverted and measured.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     rng = np.random.default_rng(seed)
     best = 0.0
-    for _ in range(trials):
-        u = _random_divfree_history(ws.grid, tg, rng).data
-        nu = _Trace(regime, ws.grid, tg, p, q, frak_p, tol).feed(u).norm().value
-        frames = duhamel_frames(_transport_at_nodes(u, ws), tg, ws)
-        nb = _Trace(regime, ws.grid, tg, p, q, frak_p, tol).feed(frames).norm().value
-        del u, frames  # the next trial is drawn with this one released
-        if nu > 0:
-            best = max(best, nb / (nu * nu))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for _ in range(trials):
+            u = _random_divfree_history(ws.grid, tg, rng).data
+            nu = _Trace(regime, ws.grid, tg, p, q, frak_p, tol).feed(u).norm().value
+            frames = duhamel_frames(_transport_at_nodes(u, ws, pool), tg, ws)
+            nb = _Trace(regime, ws.grid, tg, p, q, frak_p, tol).feed(frames).norm().value
+            del u, frames  # the next trial is drawn with this one released
+            if nu > 0:
+                best = max(best, nb / (nu * nu))
     return best
 
 
@@ -497,6 +542,10 @@ def picard_solve(cfg: SolverConfig, c_b: float | None = None, trials: int = 3,
     ``e0 - B(u)`` at node ``i`` as one spectral sum and one inverse
     transform, checks the frame is finite, measures it and its increment,
     and overwrites ``u[i]``.  The residual is that sweep without the write.
+    Each sweep runs in two stages: one helper thread forms the transport
+    spectrum of node ``i + 1`` from the old ``u[i + 1]`` while this thread
+    does the rest of node ``i`` (and forms any spectrum the helper has not
+    started).  The helper lives for this call only.
 
     ``disable_bilinear`` switches the transport term off (the linear heat
     limit); ``override_smallness`` lets the run proceed past a failed gate,
@@ -522,25 +571,26 @@ def picard_solve(cfg: SolverConfig, c_b: float | None = None, trials: int = 3,
             f"threshold {verdict.threshold:.6e}; pass override_smallness=True to force"
         )
 
-    hat = force if disable_bilinear else _iterate_at_nodes(u, force, ws)
     norms = [verdict.delta]
     increments: list[float] = []
     converged = False
-    for n in range(1, cfg.max_iters + 1):
-        step, size = _sweep(cfg, u, duhamel_frames(hat, tg, ws, u0_hat), f"iterate {n}")
-        d = step.norm().value
-        increments.append(d)
-        norms.append(size.norm().value)
-        if d <= cfg.tol_fixedpoint:
-            converged = True
-            break
-
     residual = 0.0
-    if not disable_bilinear:
-        # residual of the fixed-point equation, which is also the next increment
-        step, _ = _sweep(cfg, u, duhamel_frames(hat, tg, ws, u0_hat), "the residual",
-                         write=False)
-        residual = step.norm().value
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        hat = force if disable_bilinear else _iterate_at_nodes(u, force, ws, pool)
+        for n in range(1, cfg.max_iters + 1):
+            step, size = _sweep(cfg, u, duhamel_frames(hat, tg, ws, u0_hat), f"iterate {n}")
+            d = step.norm().value
+            increments.append(d)
+            norms.append(size.norm().value)
+            if d <= cfg.tol_fixedpoint:
+                converged = True
+                break
+
+        if not disable_bilinear:
+            # residual of the fixed-point equation, which is also the next increment
+            step, _ = _sweep(cfg, u, duhamel_frames(hat, tg, ws, u0_hat), "the residual",
+                             write=False)
+            residual = step.norm().value
 
     contraction = None
     positive = [(a, b) for a, b in zip(increments, increments[1:]) if a > 0]

@@ -32,6 +32,7 @@ closed-form cell integral on it.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -240,8 +241,8 @@ def relative_divergence(v: VectorField, ws: SpectralWorkspace) -> float:
 def heat_convolve(f, t: float, ws: SpectralWorkspace):
     """Heat semigroup at time ``t`` applied spectrally; ``t = 0`` is the identity."""
     t = float(t)
-    if t < 0:
-        raise ValueError(f"heat time must be nonnegative, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"heat time must be nonnegative and finite, got {t}")
     if t == 0.0:
         return f
     if not isinstance(f, (ScalarField, VectorField)):
@@ -351,7 +352,7 @@ def maximal_function_stack(values, grid: GridSpec, radii) -> np.ndarray:
         raise ValueError("radius ladder is empty")
     rmax = 0.5 * min(grid.extents)
     for r in radii:
-        if r <= 0 or r > rmax * (1 + 1e-12):
+        if not 0 < r <= rmax * (1 + 1e-12):
             raise ValueError(f"radius {r} outside (0, {rmax}]")
     fa = np.abs(_stack(values, grid))
     if grid.topology == TRUNCATED:
@@ -435,8 +436,8 @@ def grad_heat_kernel_defect(t: float, x) -> float:
     and stays bounded over the whole quadrant.
     """
     t = float(t)
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"time must be positive and finite, got {t}")
     x = np.asarray(x, dtype=float).reshape(-1)
     r2 = float(np.dot(x, x))
     r = np.sqrt(r2)

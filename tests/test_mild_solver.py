@@ -1,3 +1,8 @@
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -779,3 +784,114 @@ class TestStreamedSweep:
         assert res.iterates_norms == (res.smallness.delta,) * 2
         assert res.increments == (0.0,)
         assert res.residual == 0.0
+
+
+class TestTransportPipeline:
+    @pytest.mark.parametrize("force", [None, "sampled"])
+    def test_prefetched_stream_matches_the_serial_spectra(self, force):
+        # each node is handed out, then written over as a sweep does; each
+        # stream runs twice, as picard_solve reuses its stream every sweep
+        g, tg = torus(8), TimeGrid(1.0, 8)
+        ws = make_workspace(g)
+        force_at = None
+        if force is not None:
+            force_at = mild_solver._force_at_nodes(modulated_force(g, tg), tg, ws)
+
+        def serial(u):
+            b = [mild_solver._transport_hat(u[i], ws) for i in range(len(u))]
+            return b, [-x if force_at is None else force_at(i) - x for i, x in enumerate(b)]
+
+        u = taylor_green_history(g, tg).data.copy()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            streams = (mild_solver._transport_at_nodes(u, ws, pool),
+                       mild_solver._iterate_at_nodes(u, force_at, ws, pool))
+            for _ in range(2):
+                for k, hat in enumerate(streams):
+                    want = serial(u.copy())[k]
+                    for i in range(tg.steps + 1):
+                        assert hat(i).tobytes() == want[i].tobytes()
+                        u[i] = 0.9 * u[i] + 0.1
+
+    def test_helper_jobs_keep_the_callers_error_state(self, monkeypatch):
+        # after each node is handed out, wait until the helper has started the
+        # next one, so every node past 0 runs on the helper
+        g, tg = torus(8), TimeGrid(1.0, 4)
+        ws = make_workspace(g)
+        u = taylor_green_history(g, tg).data
+        transport = mild_solver._transport_hat
+        seen = {}
+
+        def recording(frame, ws):
+            node = (frame.ctypes.data - frame.base.ctypes.data) // frame.nbytes
+            seen[node] = (threading.get_ident(), np.geterr())
+            return transport(frame, ws)
+
+        monkeypatch.setattr(mild_solver, "_transport_hat", recording)
+        with ThreadPoolExecutor(max_workers=1) as pool, np.errstate(all="raise"):
+            hat = mild_solver._transport_at_nodes(u, ws, pool)
+            for i in range(tg.steps + 1):
+                hat(i)
+                deadline = time.monotonic() + 60
+                while len(seen) < min(i + 2, tg.steps + 1) and time.monotonic() < deadline:
+                    time.sleep(1e-3)
+        assert sorted(seen) == list(range(tg.steps + 1))
+        assert all(seen[i][0] != threading.get_ident() for i in range(1, tg.steps + 1))
+        assert all(set(err.values()) == {"raise"} for _, err in seen.values())
+
+    @pytest.mark.parametrize("caller", ["bilinear_term", "estimate_bilinear_constant",
+                                        "picard_solve"])
+    def test_a_failing_transport_surfaces_and_the_helper_exits(self, monkeypatch, caller):
+        g, tg = torus(8), TimeGrid(1.0, 8)
+        ws = make_workspace(g)
+        transport = mild_solver._transport_hat
+
+        def failing(frame, ws):
+            # frames are node views u[i] of a stack, so the offset names the node
+            if frame.ctypes.data - frame.base.ctypes.data == 3 * frame.nbytes:
+                raise ArithmeticError("transport failed at node 3")
+            return transport(frame, ws)
+
+        monkeypatch.setattr(mild_solver, "_transport_hat", failing)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="node 3"):
+            if caller == "bilinear_term":
+                mild_solver.bilinear_term(taylor_green_history(g, tg), ws)
+            elif caller == "estimate_bilinear_constant":
+                p = make_exponent("radial-log", (2.5, 0.5), g)
+                mild_solver.estimate_bilinear_constant("thm1", p, None, tg, ws)
+            else:
+                mild_solver.picard_solve(thm1_config(g, tg, u0=two_mode_u0(g, 0.5)),
+                                         c_b=1e-2)
+        assert threading.active_count() == before
+
+    def test_concurrent_solves_match_sequential_ones(self):
+        # two solves and their two helpers on a short switch interval: more
+        # threads than the two cores the suite is sized for
+        g, tg = torus(8), TimeGrid(1.0, 16)
+        cfgs = [thm1_config(g, tg, u0=two_mode_u0(g, 0.5)),
+                thm2_config(g, tg, amplitude=0.3, force=modulated_force(g, tg, 0.5))]
+        sequential = [picard_solve(cfg, seed=0) for cfg in cfgs]
+        concurrent = [None, None]
+
+        def solve(k):
+            concurrent[k] = picard_solve(cfgs[k], seed=0)
+
+        threads = [threading.Thread(target=solve, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for a, b in zip(sequential, concurrent):
+            assert a.converged and len(a.increments) > 2
+            assert a.final.data.tobytes() == b.final.data.tobytes()
+            assert a.iterates_norms == b.iterates_norms
+            assert a.increments == b.increments
+            assert a.residual == b.residual
+            assert a.c_b_estimate == b.c_b_estimate
+            assert a.smallness == b.smallness

@@ -633,6 +633,23 @@ class TestKernelGapFunctional:
             grad_heat_kernel_defect(0.0, (1.0, 0.0, 0.0))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: maximal_function_stack(smooth_random(g, 1).values, g, [NAN]),
+    lambda g: grad_heat_kernel_defect(NAN, (1.0, 0.0, 0.0)),
+    lambda g: grad_heat_kernel_defect(INF, (1.0, 0.0, 0.0)),
+    lambda g: heat_convolve(smooth_random(g, 1), NAN, make_workspace(g)),
+    lambda g: heat_convolve(smooth_random(g, 1), INF, make_workspace(g)),
+], ids=["maximal-radius-nan", "grad-heat-time-nan", "grad-heat-time-inf",
+        "heat-time-nan", "heat-time-inf"])
+def test_non_finite_scales_are_refused_up_front(call):
+    with pytest.raises(ValueError, match="outside|must be .*finite") as info:
+        call(torus(8))
+    assert type(info.value) is ValueError
+
+
 class TestRadialDominationGap:
     def grid(self, res=16):
         return GridSpec(3, (8.0,) * 3, (res,) * 3, PERIODIC, (-4.0,) * 3)
