@@ -1,9 +1,9 @@
 """Variable exponent fields ``p(x)`` and their regularity diagnostics.
 
 An exponent field is a sampled function with ``1 < p_minus <= p(x) <=
-p_plus < inf``.  Closed-form families keep their defining parameters so a
-field can be re-evaluated on a refined or restricted grid; everything else
-is carried as raw samples.
+p_plus < inf``: its samples are the field.  Closed-form families are
+evaluated once on the grid they are made for; a field on another grid is
+made there from the same family and parameters.
 """
 from __future__ import annotations
 
@@ -25,8 +25,8 @@ class ExponentField:
     """Sampled exponent with cached bounds.
 
     ``p_infinity`` is the decay limit for families that have one (constant,
-    radial-log, gaussian-bump); ``None`` otherwise.  ``params`` holds the
-    family parameters for re-evaluation, ``None`` for raw samples.
+    radial-log, gaussian-bump); ``None`` otherwise.  ``family_tag`` names
+    the family the samples were made from.
     """
 
     samples: np.ndarray
@@ -35,11 +35,10 @@ class ExponentField:
     p_plus: float
     p_infinity: float | None
     family_tag: str
-    params: tuple[float, ...] | None = None
 
 
 def _build(samples: np.ndarray, grid: GridSpec, family: str,
-           params: tuple[float, ...] | None, p_infinity: float | None) -> ExponentField:
+           p_infinity: float | None) -> ExponentField:
     samples = np.asarray(samples, dtype=float)
     if samples.shape != grid.shape:
         raise GridMismatchError(
@@ -53,7 +52,7 @@ def _build(samples: np.ndarray, grid: GridSpec, family: str,
         raise ExponentRangeError(
             f"exponent infimum must exceed 1, got p_minus = {p_minus} (family {family!r})"
         )
-    return ExponentField(samples, grid, p_minus, p_plus, p_infinity, family, params)
+    return ExponentField(samples, grid, p_minus, p_plus, p_infinity, family)
 
 
 def make_exponent(family_tag: str, params, grid: GridSpec) -> ExponentField:
@@ -73,48 +72,43 @@ def make_exponent(family_tag: str, params, grid: GridSpec) -> ExponentField:
     params = tuple(float(v) for v in params)
     if family_tag == "constant":
         (c,) = params
-        return _build(np.full(grid.shape, c), grid, family_tag, params, c)
+        return _build(np.full(grid.shape, c), grid, family_tag, c)
     if family_tag == "radial-log":
         p_inf, amp = params
         r = radial_distance(grid)
-        return _build(p_inf + amp / np.log(np.e + r), grid, family_tag, params, p_inf)
+        return _build(p_inf + amp / np.log(np.e + r), grid, family_tag, p_inf)
     if family_tag == "gaussian-bump":
-        if len(params) == 2:
-            a, b, width = params[0], params[1], 1.0
-            params = (a, b)
-        else:
-            a, b, width = params
+        a, b, width = params + (1.0,) if len(params) == 2 else params
         r = radial_distance(grid)
-        return _build(a + b * np.exp(-((r / width) ** 2)), grid, family_tag, params, a)
+        return _build(a + b * np.exp(-((r / width) ** 2)), grid, family_tag, a)
     if family_tag == "sinusoidal":
         a, b = params
         prod = np.ones(grid.shape)
         for axis, x in enumerate(grid.coords()):
             prod = prod * np.sin(2 * np.pi * (x - grid.origin[axis]) / grid.extents[axis])
-        return _build(a + b * prod, grid, family_tag, params, None)
+        return _build(a + b * prod, grid, family_tag, None)
     if family_tag == "custom-samples":
         n = int(np.prod(grid.shape))
         if len(params) != n:
             raise ValueError(
                 f"custom-samples needs one value per grid point ({n}), got {len(params)}"
             )
-        return _build(np.asarray(params).reshape(grid.shape), grid, family_tag, None, None)
+        return _build(np.asarray(params).reshape(grid.shape), grid, family_tag, None)
     raise ValueError(f"unknown exponent family {family_tag!r}, expected one of {FAMILIES}")
 
 
 def exponent_from_samples(samples, grid: GridSpec,
                           p_infinity: float | None = None) -> ExponentField:
     """Wrap raw samples as a ``custom-samples`` exponent field."""
-    return _build(np.asarray(samples, dtype=float), grid, "custom-samples", None, p_infinity)
+    return _build(np.asarray(samples, dtype=float), grid, "custom-samples", p_infinity)
 
 
 def conjugate_exponent(p: ExponentField) -> ExponentField:
     """Pointwise conjugate ``p' = p / (p - 1)``."""
     samples = p.samples / (p.samples - 1.0)
     p_inf = None if p.p_infinity is None else p.p_infinity / (p.p_infinity - 1.0)
-    if p.family_tag == "constant":
-        return _build(samples, p.grid, "constant", (p_inf,), p_inf)
-    return _build(samples, p.grid, "custom-samples", None, p_inf)
+    tag = "constant" if p.family_tag == "constant" else "custom-samples"
+    return _build(samples, p.grid, tag, p_inf)
 
 
 def scale_exponent(p: ExponentField, factor: float) -> ExponentField:
@@ -124,27 +118,8 @@ def scale_exponent(p: ExponentField, factor: float) -> ExponentField:
         raise ValueError(f"scale factor must be positive, got {factor}")
     samples = factor * p.samples
     p_inf = None if p.p_infinity is None else factor * p.p_infinity
-    if p.family_tag == "constant":
-        return _build(samples, p.grid, "constant", (factor * p.params[0],), p_inf)
-    return _build(samples, p.grid, "custom-samples", None, p_inf)
-
-
-def resample_exponent(p: ExponentField, grid: GridSpec) -> ExponentField:
-    """Re-evaluate an exponent field on another grid.
-
-    Closed-form families are evaluated exactly; raw samples are linearly
-    interpolated (one-dimensional grids only).
-    """
-    if p.family_tag != "custom-samples":
-        out = make_exponent(p.family_tag, p.params, grid)
-        if p.family_tag in ("sinusoidal",) or out.p_infinity == p.p_infinity:
-            return out
-        return ExponentField(out.samples, out.grid, out.p_minus, out.p_plus,
-                             p.p_infinity, out.family_tag, out.params)
-    if p.grid.dimension != 1 or grid.dimension != 1:
-        raise ValueError("raw exponent samples can only be resampled in one dimension")
-    values = np.interp(grid.axis_coords(0), p.grid.axis_coords(0), p.samples)
-    return _build(values, grid, "custom-samples", None, p.p_infinity)
+    tag = "constant" if p.family_tag == "constant" else "custom-samples"
+    return _build(samples, p.grid, tag, p_inf)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Inequality falsification campaigns.
 
-Each target names one bounded-operator or norm-comparison statement.  A
+Each target is one record: the bounded-operator or norm-comparison
+statement it names, the ratio that checks it, and its default config.  A
 campaign evaluates the statement's ratio on every corpus element at every
 refinement level and reports the worst case; a configured bound encodes
 "finite and stable under refinement" rather than a sharp constant.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -42,33 +44,6 @@ from ..varlp import (
 )
 from .corpus import KINDS, generate_corpus
 
-TARGETS = (
-    "holder",
-    "duality",
-    "maximal",
-    "riesz_potential",
-    "proposition1",
-    "embedding",
-    "radial_majorant",
-    "grad_heat",
-    "lemma_unit_norm",
-)
-
-# targets whose elements are seeded parameter draws, not corpus fields
-_SCAN_TARGETS = ("grad_heat", "lemma_unit_norm")
-
-_STATEMENTS = {
-    "holder": "product norm bounded by the product of factor norms under a pointwise exponent split",
-    "duality": "norm equivalent to the pairing supremum over unit conjugate-norm fields",
-    "maximal": "ball-average maximal operator bounded on the variable-exponent space",
-    "riesz_potential": "smoothing potential maps the base space into the lifted-exponent space",
-    "proposition1": "smoothing potential bounded from the mixed space into the doubled-exponent space",
-    "embedding": "pointwise-smaller exponents embed with constant one plus the domain measure",
-    "radial_majorant": "radially decreasing convolution dominated by its mass times the maximal function",
-    "grad_heat": "heat kernel gradient controlled by the inverse of t^2 + |x|^4",
-    "lemma_unit_norm": "unit-function norm bracketed by horizon powers of the extreme exponents",
-}
-
 
 class CampaignElementError(RuntimeError):
     """An element evaluation failed; the message carries its coordinates."""
@@ -91,7 +66,7 @@ class CampaignConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.target not in TARGETS:
+        if self.target not in _TARGETS:
             raise ValueError(f"unknown campaign target {self.target!r}")
         if self.corpus_size < 1:
             raise ValueError(f"corpus size must be at least 1, got {self.corpus_size}")
@@ -113,7 +88,7 @@ class CampaignConfig:
         specs = tuple((str(tag), tuple(float(v) for v in params))
                       for tag, params in self.exponent_specs)
         object.__setattr__(self, "exponent_specs", specs)
-        if self.target not in _SCAN_TARGETS + ("radial_majorant",) and not specs:
+        if _TARGETS[self.target].exponent_specs and not specs:
             raise ValueError(f"target {self.target!r} needs at least one exponent spec")
 
 
@@ -144,44 +119,19 @@ def _grid_ladder(base: GridSpec, levels: int) -> tuple[GridSpec, ...]:
 
 def default_campaign_config(target: str, corpus_size: int | None = None,
                             seed: int = 0, refinement_levels: int = 3) -> CampaignConfig:
-    """Tuned defaults per target; see the statement table for what each checks."""
-    line_box = GridSpec(1, (40.0,), (512,), TRUNCATED, (-20.0,))
-    cube_box = GridSpec(3, (24.0, 24.0, 24.0), (16, 16, 16), TRUNCATED,
-                        (-12.0, -12.0, -12.0))
-    torus = GridSpec(3, (2.0 * np.pi,) * 3, (12, 12, 12), PERIODIC)
-    scan = GridSpec(1, (1.0,), (256,), TRUNCATED, (0.0,))
-    table = {
-        "holder": (line_box, "smooth-decaying", 8, 4.0,
-                   (("radial-log", (2.5, 0.5)), ("constant", (4.0,)),
-                    ("gaussian-bump", (2.2, 0.6)))),
-        "duality": (line_box, "smooth-decaying", 8, 2.0,
-                    (("radial-log", (2.0, 0.5)), ("gaussian-bump", (1.8, 0.7)),
-                     ("sinusoidal", (2.5, 0.8)))),
-        "embedding": (line_box, "smooth-decaying", 8, 1.0 + line_box.measure,
-                      (("radial-log", (1.8, 0.4)), ("gaussian-bump", (1.6, 0.5)))),
-        "maximal": (cube_box, "smooth-decaying", 5, 10.0,
-                    (("radial-log", (2.0, 0.5)), ("constant", (2.0,)),
-                     ("gaussian-bump", (2.2, 0.5)))),
-        "riesz_potential": (cube_box, "smooth-decaying", 5, 10.0,
-                            (("radial-log", (2.0, 0.5)),)),
-        "proposition1": (cube_box, "smooth-decaying", 5, 10.0,
-                         (("radial-log", (1.5, 0.3)),)),
-        "radial_majorant": (torus, "plane-wave-mix", 6, 1.05, ()),
-        "grad_heat": (scan, "plane-wave-mix", 8, 0.30, ()),
-        "lemma_unit_norm": (scan, "plane-wave-mix", 12, 2.0, ()),
-    }
-    if target not in table:
+    """Tuned defaults per target; see the target table for what each checks."""
+    if target not in _TARGETS:
         raise ValueError(f"unknown campaign target {target!r}")
-    base, kind, size, bound, specs = table[target]
+    record = _TARGETS[target]
     return CampaignConfig(
         target=target,
-        corpus_size=size if corpus_size is None else corpus_size,
+        corpus_size=record.corpus_size if corpus_size is None else corpus_size,
         seed=seed,
-        grids=_grid_ladder(base, refinement_levels),
-        exponent_specs=specs,
-        bound=bound,
+        grids=_grid_ladder(record.base_grid, refinement_levels),
+        exponent_specs=record.exponent_specs,
+        bound=record.bound,
         refinement_levels=refinement_levels,
-        corpus_kind=kind,
+        corpus_kind=record.corpus_kind,
     )
 
 
@@ -286,19 +236,6 @@ def _eval_lemma_unit_norm(cfg, grid, index, corpus, image) -> float:
     return max(nv / max(ends), min(ends) / nv)
 
 
-_EVALUATORS = {
-    "holder": _eval_holder,
-    "duality": _eval_duality,
-    "maximal": _eval_maximal,
-    "riesz_potential": _eval_riesz_potential,
-    "proposition1": _eval_proposition1,
-    "embedding": _eval_embedding,
-    "radial_majorant": _eval_radial_majorant,
-    "grad_heat": _eval_grad_heat,
-    "lemma_unit_norm": _eval_lemma_unit_norm,
-}
-
-
 def _maximal_images(cfg, grid, values):
     # fixed absolute rungs keep levels comparable; the one-cell rung makes
     # the ladder exact at the small-radius end of the current level
@@ -314,19 +251,73 @@ def _majorant_ratios(cfg, grid, values):
     return radial_majorant_defects(_majorant_profile(grid), values)
 
 
-# targets whose ratios rest on a real-space operator, applied to stacks
-_STACKED_OPERATORS = {
-    "maximal": _maximal_images,
-    "riesz_potential": _potential_images,
-    "proposition1": _potential_images,
-    "radial_majorant": _majorant_ratios,
+@dataclass(frozen=True)
+class _Target:
+    """One campaign target: the statement it checks, the ratio of one
+    element (after ``stacked``, the real-space operator applied to a level's
+    corpus at once, if it has one), and its default config.  A ``scan``
+    target's elements are seeded parameter draws, not corpus fields."""
+
+    statement: str
+    evaluate: Callable
+    base_grid: GridSpec
+    corpus_kind: str
+    corpus_size: int
+    bound: float
+    exponent_specs: tuple = ()
+    stacked: Callable | None = None
+    scan: bool = False
+
+
+_LINE_BOX = GridSpec(1, (40.0,), (512,), TRUNCATED, (-20.0,))
+_CUBE_BOX = GridSpec(3, (24.0, 24.0, 24.0), (16, 16, 16), TRUNCATED, (-12.0, -12.0, -12.0))
+_TORUS = GridSpec(3, (2.0 * np.pi,) * 3, (12, 12, 12), PERIODIC)
+_SCAN = GridSpec(1, (1.0,), (256,), TRUNCATED, (0.0,))
+
+_TARGETS = {
+    "holder": _Target(
+        "product norm bounded by the product of factor norms under a pointwise exponent split",
+        _eval_holder, _LINE_BOX, "smooth-decaying", 8, 4.0,
+        (("radial-log", (2.5, 0.5)), ("constant", (4.0,)), ("gaussian-bump", (2.2, 0.6)))),
+    "duality": _Target(
+        "norm equivalent to the pairing supremum over unit conjugate-norm fields",
+        _eval_duality, _LINE_BOX, "smooth-decaying", 8, 2.0,
+        (("radial-log", (2.0, 0.5)), ("gaussian-bump", (1.8, 0.7)), ("sinusoidal", (2.5, 0.8)))),
+    "maximal": _Target(
+        "ball-average maximal operator bounded on the variable-exponent space",
+        _eval_maximal, _CUBE_BOX, "smooth-decaying", 5, 10.0,
+        (("radial-log", (2.0, 0.5)), ("constant", (2.0,)), ("gaussian-bump", (2.2, 0.5))),
+        stacked=_maximal_images),
+    "riesz_potential": _Target(
+        "smoothing potential maps the base space into the lifted-exponent space",
+        _eval_riesz_potential, _CUBE_BOX, "smooth-decaying", 5, 10.0,
+        (("radial-log", (2.0, 0.5)),), stacked=_potential_images),
+    "proposition1": _Target(
+        "smoothing potential bounded from the mixed space into the doubled-exponent space",
+        _eval_proposition1, _CUBE_BOX, "smooth-decaying", 5, 10.0,
+        (("radial-log", (1.5, 0.3)),), stacked=_potential_images),
+    "embedding": _Target(
+        "pointwise-smaller exponents embed with constant one plus the domain measure",
+        _eval_embedding, _LINE_BOX, "smooth-decaying", 8, 1.0 + _LINE_BOX.measure,
+        (("radial-log", (1.8, 0.4)), ("gaussian-bump", (1.6, 0.5)))),
+    "radial_majorant": _Target(
+        "radially decreasing convolution dominated by its mass times the maximal function",
+        _eval_radial_majorant, _TORUS, "plane-wave-mix", 6, 1.05, stacked=_majorant_ratios),
+    "grad_heat": _Target(
+        "heat kernel gradient controlled by the inverse of t^2 + |x|^4",
+        _eval_grad_heat, _SCAN, "plane-wave-mix", 8, 0.30, scan=True),
+    "lemma_unit_norm": _Target(
+        "unit-function norm bracketed by horizon powers of the extreme exponents",
+        _eval_lemma_unit_norm, _SCAN, "plane-wave-mix", 12, 2.0, scan=True),
 }
+
+TARGETS = tuple(_TARGETS)
 
 
 def _images(cfg: CampaignConfig, level: int, corpus, indices):
     """The target operator applied to the chosen elements in one stacked
     call, one image per element; ``None`` each for targets without one."""
-    apply = _STACKED_OPERATORS.get(cfg.target)
+    apply = _TARGETS[cfg.target].stacked
     if apply is None:
         return [None] * len(indices)
     values = np.stack([corpus[i].values for i in indices])
@@ -334,11 +325,11 @@ def _images(cfg: CampaignConfig, level: int, corpus, indices):
 
 
 def _ratio(cfg: CampaignConfig, level: int, index: int, corpus, image) -> float:
-    return float(_EVALUATORS[cfg.target](cfg, cfg.grids[level], index, corpus, image))
+    return float(_TARGETS[cfg.target].evaluate(cfg, cfg.grids[level], index, corpus, image))
 
 
 def _level_corpus(cfg: CampaignConfig, level: int):
-    if cfg.target in _SCAN_TARGETS:
+    if _TARGETS[cfg.target].scan:
         return None
     return generate_corpus(cfg.corpus_kind, cfg.corpus_size, cfg.grids[level],
                            cfg.seed)
@@ -389,7 +380,7 @@ def run_campaign(cfg: CampaignConfig) -> InequalityReport:
         per_level_max=tuple(per_level),
         passed=observed <= cfg.bound,
         bound=cfg.bound,
-        statement=_STATEMENTS[cfg.target],
+        statement=_TARGETS[cfg.target].statement,
         worst_case=worst,
         ratios=tuple(all_ratios),
     )

@@ -21,7 +21,7 @@ from ..fields import (
     require_same_grid,
 )
 from ..mild_solver import SolverConfig
-from .campaigns import CampaignConfig, default_campaign_config
+from .campaigns import CampaignConfig, _grid_ladder, default_campaign_config
 from .corpus import antisymmetric_tensor_field, generate_corpus
 from .fieldfile import read_field
 
@@ -70,8 +70,7 @@ def build_campaign_config(doc: dict, overrides: dict | None = None) -> CampaignC
         updates["grids"] = tuple(grid_from_doc(g) for g in doc["grids"])
     elif "base_grid" in doc:
         levels = updates.get("refinement_levels", cfg.refinement_levels)
-        base = grid_from_doc(doc["base_grid"])
-        updates["grids"] = tuple(base.refine(2**j) for j in range(levels))
+        updates["grids"] = _grid_ladder(grid_from_doc(doc["base_grid"]), levels)
     if "grids" in updates and "refinement_levels" not in updates:
         updates["refinement_levels"] = len(updates["grids"])
     return dataclasses.replace(cfg, **updates)

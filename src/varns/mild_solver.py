@@ -28,10 +28,10 @@ the accumulator, inverts, checks and measures node ``i`` and writes
 ``u[i]``.  A spectrum the helper has not started when it is needed is
 formed by the calling thread.  Either thread computes it with the same
 arithmetic, so every output is bit for bit that of a serial sweep.  The
-helper belongs to the call that streams (:func:`picard_solve`,
-:func:`estimate_bilinear_constant` or :func:`bilinear_term`) and is shut
-down when that call returns or raises.  ``VARNS_THREADS`` still sets the
-FFT workers of each transform.
+helper belongs to the call that streams (:func:`picard_solve`, one trial
+of :func:`estimate_bilinear_constant`, or :func:`bilinear_term`) and is
+shut down when that call returns or raises.  ``VARNS_THREADS`` still sets
+the FFT workers of each transform.
 
 The ``thm2`` gate also scans shorter horizons.  ``e0`` is causal, so on
 ``[0, t_k]`` it is the first ``k`` time cells of the one stream the gate
@@ -94,6 +94,29 @@ class ForceDivergenceError(ValueError):
     """The forcing is not divergence-free to the required tolerance."""
 
 
+def _check_time_exponent(p: ExponentField, tg: TimeGrid) -> None:
+    """A temporal exponent has one sample per time step of ``tg`` on a 1d
+    interval that covers ``[0, T]``."""
+    g = p.grid
+    if g.dimension != 1 or g.resolution[0] != tg.steps:
+        raise ValueError("temporal exponent needs one sample per time step on a 1d interval")
+    if abs(g.extents[0] - tg.T) > 1e-12 * max(1.0, tg.T):
+        raise ValueError("temporal exponent interval must cover [0, T]")
+
+
+def _check_force_spec(force_spec, grid: GridSpec, tg: TimeGrid) -> None:
+    """A forcing is ``None``, a tensor on ``grid``, or a history sampled on
+    ``grid`` at the nodes of ``tg``."""
+    if isinstance(force_spec, TensorField):
+        if force_spec.grid != grid:
+            raise ValueError("tensor force must live on the flow grid")
+    elif isinstance(force_spec, SpaceTimeField):
+        if force_spec.grid != grid or force_spec.tg != tg:
+            raise ValueError("sampled force must share the flow grid and time grid")
+    elif force_spec is not None:
+        raise TypeError(f"unsupported force specification {type(force_spec)!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Everything one fixed-point run needs.
@@ -137,14 +160,7 @@ class SolverConfig:
                 raise ValueError("thm1 exponent field must live on the flow grid")
         else:
             self._check_thm2_exponents()
-        if isinstance(self.force_spec, TensorField):
-            if self.force_spec.grid != grid:
-                raise ValueError("tensor force must live on the flow grid")
-        elif isinstance(self.force_spec, SpaceTimeField):
-            if self.force_spec.grid != grid or self.force_spec.tg != self.tg:
-                raise ValueError("sampled force must share the flow grid and time grid")
-        elif self.force_spec is not None:
-            raise TypeError(f"unsupported force specification {type(self.force_spec)!r}")
+        _check_force_spec(self.force_spec, grid, self.tg)
         ws = make_workspace(grid)
         object.__setattr__(self, "u0", leray_project(self.u0, ws))
 
@@ -167,13 +183,9 @@ class SolverConfig:
         p, q = self.p, self.q
         if q is None:
             raise ValueError("thm2 needs the fixed spatial exponent q")
-        g = p.grid
-        if g.dimension != 1 or g.topology != TRUNCATED:
-            raise ValueError("thm2 exponent must be sampled on a 1d interval")
-        if abs(g.extents[0] - self.tg.T) > 1e-12 * max(1.0, self.tg.T):
-            raise ValueError("thm2 exponent interval must cover [0, T]")
-        if g.resolution[0] != self.tg.steps:
-            raise ValueError("thm2 exponent needs one sample per time step")
+        _check_time_exponent(p, self.tg)
+        if p.grid.topology != TRUNCATED:
+            raise ValueError("thm2 exponent must be sampled on a truncated interval")
         if p.p_minus <= 2.0:
             raise ValueError(f"thm2 needs p > 2 everywhere, got minimum {p.p_minus}")
         if not 3.0 < q < math.inf:
@@ -257,24 +269,18 @@ def _force_at_nodes(force_spec, tg: TimeGrid, ws: SpectralWorkspace):
     """Checked ``hat_at_node`` of a forcing on ``tg``: ``None`` for no
     forcing, the static spectrum of a tensor's row divergence at every node,
     or the spectra of a sampled history, each node transformed once."""
-    grid = ws.grid
+    _check_force_spec(force_spec, ws.grid, tg)
     if force_spec is None:
         return None
     if isinstance(force_spec, TensorField):
-        if force_spec.grid != grid:
-            raise ValueError("tensor force and workspace grids differ")
         hat = _div_hat(ws.forward(force_spec.values), ws)
         _check_force(hat, "tensor force", ws)
         return lambda i: hat
-    if isinstance(force_spec, SpaceTimeField):
-        if force_spec.grid != grid or force_spec.tg != tg:
-            raise ValueError("sampled force does not match the requested grids")
-        hats = np.empty((tg.steps + 1, grid.dimension) + ws.k2.shape, dtype=complex)
-        for i, frame in enumerate(force_spec.data):
-            hats[i] = ws.forward(frame)
-            _check_force(hats[i], "sampled force", ws)
-        return hats.__getitem__
-    raise TypeError(f"unsupported force specification {type(force_spec)!r}")
+    hats = np.empty((tg.steps + 1, ws.grid.dimension) + ws.k2.shape, dtype=complex)
+    for i, frame in enumerate(force_spec.data):
+        hats[i] = ws.forward(frame)
+        _check_force(hats[i], "sampled force", ws)
+    return hats.__getitem__
 
 
 def bilinear_term(u: SpaceTimeField, ws: SpectralWorkspace) -> SpaceTimeField:
@@ -298,7 +304,9 @@ def _transport_at_nodes(u: np.ndarray, ws: SpectralWorkspace, pool: ThreadPoolEx
     the submitting context, so it keeps the caller's numpy error state.  A
     node whose job has not started (node 0 of each sweep, or any node while
     the helper waits for a core) is formed by the calling thread instead, so
-    a sweep never waits for the helper to start a job.
+    a sweep never waits for the helper to start a job.  The next job is
+    submitted only after that, so one transport spectrum at most is being
+    formed at any time.
     """
     ahead = None  # the node in flight and its future
 
@@ -308,10 +316,9 @@ def _transport_at_nodes(u: np.ndarray, ws: SpectralWorkspace, pool: ThreadPoolEx
     def hat(i: int) -> np.ndarray:
         nonlocal ahead
         job = ahead[1] if ahead is not None and ahead[0] == i else None
+        own = _transport_hat(u[i], ws) if job is None or job.cancel() else None
         ahead = (i + 1, submit(i + 1)) if i + 1 < len(u) else None
-        if job is None or job.cancel():
-            return _transport_hat(u[i], ws)
-        return job.result()
+        return job.result() if own is None else own
     return hat
 
 
@@ -341,11 +348,7 @@ class _Trace:
     def __init__(self, regime: str, grid: GridSpec, tg: TimeGrid, p: ExponentField,
                  q: float | None = None, frak_p: float = 3.0, tol: float = 1e-8):
         if regime == "thm2":
-            g = p.grid
-            if g.dimension != 1 or g.resolution[0] != tg.steps:
-                raise ValueError("temporal exponent needs one sample per time step")
-            if abs(g.extents[0] - tg.T) > 1e-12 * max(1.0, tg.T):
-                raise ValueError("temporal exponent interval must cover [0, T]")
+            _check_time_exponent(p, tg)
         self.regime, self.grid, self.tg, self.p = regime, grid, tg, p
         self.q, self.frak_p, self.tol = q, frak_p, tol
         self.sup = None
@@ -452,15 +455,17 @@ def estimate_bilinear_constant(regime: str, p: ExponentField, q: float | None,
         raise ValueError(f"trials must be positive, got {trials}")
     rng = np.random.default_rng(seed)
     best = 0.0
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        for _ in range(trials):
-            u = _random_divfree_history(ws.grid, tg, rng).data
-            nu = _Trace(regime, ws.grid, tg, p, q, frak_p, tol).feed(u).norm().value
+    for _ in range(trials):
+        u = _random_divfree_history(ws.grid, tg, rng).data
+        nu = _Trace(regime, ws.grid, tg, p, q, frak_p, tol).feed(u).norm().value
+        # the helper's shutdown drains any cancelled job still holding a
+        # frame of u, so the next trial is drawn with this one released
+        with ThreadPoolExecutor(max_workers=1) as pool:
             frames = duhamel_frames(_transport_at_nodes(u, ws, pool), tg, ws)
             nb = _Trace(regime, ws.grid, tg, p, q, frak_p, tol).feed(frames).norm().value
-            del u, frames  # the next trial is drawn with this one released
-            if nu > 0:
-                best = max(best, nb / (nu * nu))
+        del u, frames
+        if nu > 0:
+            best = max(best, nb / (nu * nu))
     return best
 
 

@@ -170,7 +170,10 @@ def _transport_hat(u: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
     upper = np.triu_indices(dim)
     row = np.empty((dim, dim), dtype=int)
     row[upper] = row.T[upper] = np.arange(upper[0].size)
-    products = ws.forward(u[upper[0]] * u[upper[1]])
+    products = np.empty((upper[0].size,) + u.shape[1:])
+    for j, (a, b) in enumerate(zip(*upper)):
+        np.multiply(u[a], u[b], out=products[j])
+    products = ws.forward(products)  # frees the products once transformed
     ik = [1j * k for k in ws.k_deriv]
     out = np.empty((dim,) + ws.k2.shape, dtype=complex)
     for m in range(dim):

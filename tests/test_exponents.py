@@ -11,7 +11,6 @@ from varns import (
     log_holder_constants,
     make_exponent,
     radial_distance,
-    resample_exponent,
     scale_exponent,
 )
 
@@ -131,28 +130,6 @@ class TestDerivedExponents:
             scale_exponent(p, 0.5)
         with pytest.raises(ValueError):
             scale_exponent(p, -1.0)
-
-    def test_resample_closed_form_matches_fresh_evaluation(self):
-        g = line(res=100)
-        p = make_exponent("radial-log", (2.2, 0.6), g)
-        fine = g.refine(2)
-        r = resample_exponent(p, fine)
-        direct = make_exponent("radial-log", (2.2, 0.6), fine)
-        assert np.array_equal(r.samples, direct.samples)
-
-    def test_resample_raw_samples_interpolates(self):
-        g = line(res=50)
-        vals = np.linspace(2.0, 3.0, 50)
-        p = exponent_from_samples(vals, g)
-        fine = g.refine(2)
-        r = resample_exponent(p, fine)
-        # linear data is reproduced exactly by linear interpolation away
-        # from the end cells, where the coarse grid stops half a cell short
-        x = fine.axis_coords(0)
-        xc = g.axis_coords(0)
-        inner = (x >= xc[0]) & (x <= xc[-1])
-        expected = 2.0 + (x - xc[0]) * (1.0 / (xc[-1] - xc[0]))
-        assert np.max(np.abs(r.samples[inner] - expected[inner])) < 1e-12
 
 
 class TestLogRegularity:

@@ -1,7 +1,8 @@
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+import weakref
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -837,6 +838,47 @@ class TestTransportPipeline:
         assert sorted(seen) == list(range(tg.steps + 1))
         assert all(seen[i][0] != threading.get_ident() for i in range(1, tg.steps + 1))
         assert all(set(err.values()) == {"raise"} for _, err in seen.values())
+
+    def test_each_trial_is_drawn_with_the_last_one_released(self, monkeypatch):
+        # a starved helper: its jobs stay queued until the pool exits, so each
+        # job cancelled for the calling thread keeps its frame of the trial's
+        # stack alive as long as the pool lives
+        class Starved:
+            def __init__(self, max_workers):
+                self.queued = []
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                for future, fn, args in self.queued:
+                    if future.set_running_or_notify_cancel():
+                        future.set_result(fn(*args))
+                self.queued.clear()
+
+            def submit(self, fn, *args):
+                future = Future()
+                self.queued.append((future, fn, args))
+                return future
+
+        g, tg = torus(8), TimeGrid(1.0, 8)
+        ws = make_workspace(g)
+        p = make_exponent("radial-log", (2.5, 0.5), g)
+        want = estimate_bilinear_constant("thm1", p, None, tg, ws)
+        draw = mild_solver._random_divfree_history
+        stacks, alive = [], []
+
+        def drawing(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in stacks))
+            u = draw(*args, **kwargs)
+            stacks.append(weakref.ref(u.data))
+            return u
+
+        monkeypatch.setattr(mild_solver, "ThreadPoolExecutor", Starved)
+        monkeypatch.setattr(mild_solver, "_random_divfree_history", drawing)
+        c_b = estimate_bilinear_constant("thm1", p, None, tg, ws)
+        assert alive == [0, 0, 0]
+        assert c_b == want
 
     @pytest.mark.parametrize("caller", ["bilinear_term", "estimate_bilinear_constant",
                                         "picard_solve"])
