@@ -103,12 +103,17 @@ def exponent_from_samples(samples, grid: GridSpec,
     return _build(np.asarray(samples, dtype=float), grid, "custom-samples", p_infinity)
 
 
+def _map_exponent(p: ExponentField, fn) -> ExponentField:
+    """``fn`` applied to the samples and to ``p_infinity``; a constant stays
+    ``constant``, anything else becomes ``custom-samples``."""
+    p_inf = None if p.p_infinity is None else fn(p.p_infinity)
+    tag = "constant" if p.family_tag == "constant" else "custom-samples"
+    return _build(fn(p.samples), p.grid, tag, p_inf)
+
+
 def conjugate_exponent(p: ExponentField) -> ExponentField:
     """Pointwise conjugate ``p' = p / (p - 1)``."""
-    samples = p.samples / (p.samples - 1.0)
-    p_inf = None if p.p_infinity is None else p.p_infinity / (p.p_infinity - 1.0)
-    tag = "constant" if p.family_tag == "constant" else "custom-samples"
-    return _build(samples, p.grid, tag, p_inf)
+    return _map_exponent(p, lambda s: s / (s - 1.0))
 
 
 def scale_exponent(p: ExponentField, factor: float) -> ExponentField:
@@ -116,10 +121,7 @@ def scale_exponent(p: ExponentField, factor: float) -> ExponentField:
     factor = float(factor)
     if factor <= 0:
         raise ValueError(f"scale factor must be positive, got {factor}")
-    samples = factor * p.samples
-    p_inf = None if p.p_infinity is None else factor * p.p_infinity
-    tag = "constant" if p.family_tag == "constant" else "custom-samples"
-    return _build(samples, p.grid, tag, p_inf)
+    return _map_exponent(p, lambda s: factor * s)
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,15 @@ Two grid conventions are used, chosen by topology:
 * ``"periodic"`` boxes sample at the standard FFT nodes ``origin + i*h``
   and integrate with the (exact-on-band-limited) rectangle rule.
 
-Quadrature weight is uniform in both cases: the cell volume.  Fields are
-plain numpy arrays wrapped with just enough structure to carry the grid
-around; all containers are immutable value objects.  Vector and tensor
-fields hold one stacked array with the component axes leading, and hand out
-per-component :class:`ScalarField` views of it.
+Quadrature weight is uniform in both cases: the cell volume.  Scalar,
+vector and tensor fields are one sample container of rank 0, 1 or 2: a
+checked, finite numpy array whose ``rank`` component axes of length
+``dim`` lead the grid axes, plus the grid it lives on.  The three share
+one check and one arithmetic, and are siblings, not subtypes of one
+another.  Vector and tensor fields hand out per-component
+:class:`ScalarField` views of their array.  A :class:`SpaceTimeField`
+stacks a vector field per time node.  All containers are immutable value
+objects.
 """
 from __future__ import annotations
 
@@ -158,40 +162,46 @@ def _check_values(values, grid: GridSpec, what: str, lead: tuple[int, ...] = ())
 
 
 @dataclass(frozen=True)
-class ScalarField:
-    """Real scalar samples on a grid."""
+class _Samples:
+    """Finite samples of rank ``_rank`` on a grid: one ``(dim,) * rank +
+    grid.shape`` array.  Sums, differences and multiples keep the type."""
 
     values: np.ndarray
     grid: GridSpec
 
+    _rank = 0
+    _kind = "field"
+
     def __post_init__(self):
-        object.__setattr__(self, "values", _check_values(self.values, self.grid, "scalar field"))
+        lead = (self.grid.dimension,) * self._rank
+        object.__setattr__(self, "values",
+                           _check_values(self.values, self.grid, self._kind, lead))
 
-    def __add__(self, other: ScalarField) -> ScalarField:
+    def __add__(self, other):
         require_same_grid(self, other)
-        return ScalarField(self.values + other.values, self.grid)
+        return type(self)(self.values + other.values, self.grid)
 
-    def __sub__(self, other: ScalarField) -> ScalarField:
+    def __sub__(self, other):
         require_same_grid(self, other)
-        return ScalarField(self.values - other.values, self.grid)
+        return type(self)(self.values - other.values, self.grid)
 
-    def __mul__(self, factor: float) -> ScalarField:
-        return ScalarField(self.values * float(factor), self.grid)
+    def __mul__(self, factor: float):
+        return type(self)(self.values * float(factor), self.grid)
 
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class VectorField:
+class ScalarField(_Samples):
+    """Real scalar samples on a grid."""
+
+    _kind = "scalar field"
+
+
+class VectorField(_Samples):
     """Vector samples on a grid: one ``(dim, *grid.shape)`` array."""
 
-    values: np.ndarray
-    grid: GridSpec
-
-    def __post_init__(self):
-        lead = (self.grid.dimension,)
-        object.__setattr__(self, "values",
-                           _check_values(self.values, self.grid, "vector field", lead))
+    _rank = 1
+    _kind = "vector field"
 
     @classmethod
     def from_arrays(cls, arrays, grid: GridSpec) -> VectorField:
@@ -203,39 +213,12 @@ class VectorField:
         """Per-component views of ``values``."""
         return tuple(ScalarField(v, self.grid) for v in self.values)
 
-    def magnitude(self) -> ScalarField:
-        return ScalarField(np.sqrt(np.sum(self.values * self.values, axis=0)), self.grid)
 
-    def __add__(self, other: VectorField) -> VectorField:
-        require_same_grid(self, other)
-        return VectorField(self.values + other.values, self.grid)
-
-    def __sub__(self, other: VectorField) -> VectorField:
-        require_same_grid(self, other)
-        return VectorField(self.values - other.values, self.grid)
-
-    def __mul__(self, factor: float) -> VectorField:
-        return VectorField(self.values * float(factor), self.grid)
-
-    __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class TensorField:
+class TensorField(_Samples):
     """Rank-2 tensor samples: one ``(dim, dim, *grid.shape)`` array."""
 
-    values: np.ndarray
-    grid: GridSpec
-
-    def __post_init__(self):
-        lead = (self.grid.dimension,) * 2
-        object.__setattr__(self, "values",
-                           _check_values(self.values, self.grid, "tensor field", lead))
-
-    @classmethod
-    def from_arrays(cls, arrays, grid: GridSpec) -> TensorField:
-        """Stack a nest of arrays, one row of components at a time."""
-        return cls(arrays, grid)
+    _rank = 2
+    _kind = "tensor field"
 
     @cached_property
     def components(self) -> tuple[tuple[ScalarField, ...], ...]:
@@ -271,9 +254,7 @@ class TimeGrid:
 class SpaceTimeField:
     """Vector field sampled on every node of a time grid.
 
-    The payload is one contiguous stack ``data[node, component, ...space]``;
-    ``frame(i)`` views a single node as a :class:`VectorField` without
-    copying.
+    The payload is one contiguous stack ``data[node, component, ...space]``.
     """
 
     data: np.ndarray
@@ -286,14 +267,6 @@ class SpaceTimeField:
         if arr.shape != want:
             raise GridMismatchError(f"space-time data shape {arr.shape}, expected {want}")
         object.__setattr__(self, "data", arr)
-
-    @classmethod
-    def zeros(cls, tg: TimeGrid, grid: GridSpec) -> SpaceTimeField:
-        shape = (tg.steps + 1, grid.dimension) + grid.shape
-        return cls(np.zeros(shape), tg, grid)
-
-    def frame(self, i: int) -> VectorField:
-        return VectorField(self.data[i], self.grid)
 
     def __add__(self, other: SpaceTimeField) -> SpaceTimeField:
         self._check_compatible(other)

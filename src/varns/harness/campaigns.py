@@ -59,7 +59,6 @@ class CampaignConfig:
     grids: tuple[GridSpec, ...]
     exponent_specs: tuple[tuple[str, tuple[float, ...]], ...]
     bound: float
-    refinement_levels: int
     corpus_kind: str = "smooth-decaying"
     sigma: float = 1.0
     frak_p: float = 1.5
@@ -70,10 +69,6 @@ class CampaignConfig:
             raise ValueError(f"unknown campaign target {self.target!r}")
         if self.corpus_size < 1:
             raise ValueError(f"corpus size must be at least 1, got {self.corpus_size}")
-        if self.refinement_levels < 1:
-            raise ValueError(
-                f"refinement levels must be at least 1, got {self.refinement_levels}"
-            )
         for name in ("bound", "tol", "frak_p", "sigma"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
@@ -81,15 +76,18 @@ class CampaignConfig:
         if self.corpus_kind not in KINDS:
             raise ValueError(f"unknown corpus kind {self.corpus_kind!r}")
         object.__setattr__(self, "grids", tuple(self.grids))
-        if len(self.grids) != self.refinement_levels:
-            raise ValueError(
-                f"{len(self.grids)} grids for {self.refinement_levels} refinement levels"
-            )
+        if not self.grids:
+            raise ValueError("a campaign needs at least 1 grid")
         specs = tuple((str(tag), tuple(float(v) for v in params))
                       for tag, params in self.exponent_specs)
         object.__setattr__(self, "exponent_specs", specs)
         if _TARGETS[self.target].exponent_specs and not specs:
             raise ValueError(f"target {self.target!r} needs at least one exponent spec")
+
+    @property
+    def refinement_levels(self) -> int:
+        """One level per grid of the refinement ladder."""
+        return len(self.grids)
 
 
 @dataclass(frozen=True)
@@ -130,7 +128,6 @@ def default_campaign_config(target: str, corpus_size: int | None = None,
         grids=_grid_ladder(record.base_grid, refinement_levels),
         exponent_specs=record.exponent_specs,
         bound=record.bound,
-        refinement_levels=refinement_levels,
         corpus_kind=record.corpus_kind,
     )
 

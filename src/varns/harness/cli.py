@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from ..exponents import ExponentRangeError, make_exponent
+from ..exponents import ExponentRangeError
 from ..mild_solver import (
     ForceDivergenceError,
     PicardBlowupError,
@@ -22,7 +22,7 @@ from ..mild_solver import (
 )
 from ..varlp import luxemburg_norm, mixed_norm
 from .campaigns import TARGETS, CampaignElementError, run_campaign
-from .configs import build_campaign_config, build_solver_config
+from .configs import build_campaign_config, build_solver_config, exponent_from_doc
 from .fieldfile import FieldFileError, read_exponent, read_field
 from .reports import ReportIOError, emit_report
 
@@ -89,8 +89,7 @@ def _cmd_norm(args) -> int:
     if args.exponent.endswith(".vlpf"):
         p = read_exponent(args.exponent)
     else:
-        doc = _load_json(args.exponent)
-        p = make_exponent(doc["family"], tuple(doc["params"]), f.grid)
+        p = exponent_from_doc(_load_json(args.exponent), f.grid)
     if p.grid != f.grid:
         raise ValueError("field and exponent live on different grids")
     if args.mixed is None:

@@ -52,10 +52,10 @@ def build_campaign_config(doc: dict, overrides: dict | None = None) -> CampaignC
     doc = _merge(doc, overrides)
     if "target" not in doc:
         raise ValueError("campaign config needs a 'target' key")
-    cfg = default_campaign_config(doc["target"],
-                                  refinement_levels=int(doc.get("refinement_levels", 3)))
+    levels = int(doc.get("refinement_levels", 3))
+    cfg = default_campaign_config(doc["target"], refinement_levels=levels)
     updates = {}
-    for key in ("corpus_size", "seed", "refinement_levels"):
+    for key in ("corpus_size", "seed"):
         if key in doc:
             updates[key] = int(doc[key])
     for key in ("bound", "sigma", "frak_p", "tol"):
@@ -68,11 +68,10 @@ def build_campaign_config(doc: dict, overrides: dict | None = None) -> CampaignC
             (tag, tuple(params)) for tag, params in doc["exponent_specs"])
     if "grids" in doc:
         updates["grids"] = tuple(grid_from_doc(g) for g in doc["grids"])
+        if "refinement_levels" in doc and len(updates["grids"]) != levels:
+            raise ValueError(f"{len(updates['grids'])} grids for {levels} refinement levels")
     elif "base_grid" in doc:
-        levels = updates.get("refinement_levels", cfg.refinement_levels)
         updates["grids"] = _grid_ladder(grid_from_doc(doc["base_grid"]), levels)
-    if "grids" in updates and "refinement_levels" not in updates:
-        updates["refinement_levels"] = len(updates["grids"])
     return dataclasses.replace(cfg, **updates)
 
 

@@ -183,4 +183,4 @@ def antisymmetric_tensor_field(grid: GridSpec, seed: int, amplitude: float = 1.0
             values = amplitude * _eval_waves(_draw_waves(rng, dim, (2, 4)), grid)
             entries[l][m] = values
             entries[m][l] = -values
-    return TensorField.from_arrays(entries, grid)
+    return TensorField(entries, grid)

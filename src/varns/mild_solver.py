@@ -347,7 +347,11 @@ class _Trace:
 
     def __init__(self, regime: str, grid: GridSpec, tg: TimeGrid, p: ExponentField,
                  q: float | None = None, frak_p: float = 3.0, tol: float = 1e-8):
+        if regime not in ("thm1", "thm2"):
+            raise ValueError(f"regime must be 'thm1' or 'thm2', got {regime!r}")
         if regime == "thm2":
+            if q is None or not 1.0 <= q < math.inf:
+                raise ValueError(f"q must be at least 1 and finite, got {q}")
             _check_time_exponent(p, tg)
         self.regime, self.grid, self.tg, self.p = regime, grid, tg, p
         self.q, self.frak_p, self.tol = q, frak_p, tol

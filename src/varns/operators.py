@@ -99,13 +99,13 @@ class SpectralWorkspace:
         return sfft.irfftn(hat, s=self.grid.shape, axes=axes, workers=self.workers)
 
 
-def make_workspace(grid: GridSpec, workers: int | None = None) -> SpectralWorkspace:
+def make_workspace(grid: GridSpec) -> SpectralWorkspace:
     """The cached spectral workspace for a periodic grid.
 
-    ``workers`` defaults to :func:`worker_count` read at call time, so a
+    Its worker count is :func:`worker_count` read at call time, so a
     changed ``VARNS_THREADS`` takes effect for grids already cached.
     """
-    return _workspace(grid, worker_count() if workers is None else workers)
+    return _workspace(grid, worker_count())
 
 
 @lru_cache(maxsize=16)
@@ -301,13 +301,11 @@ def duhamel_force(force: SpaceTimeField, tg: TimeGrid, ws: SpectralWorkspace) ->
                           tg, ws.grid)
 
 
-def default_radius_ladder(grid: GridSpec, count: int = 12) -> tuple[float, ...]:
-    """Geometric radius ladder from a single cell up to half the box extent."""
-    if count < 2:
-        raise ValueError(f"ladder needs at least 2 rungs, got {count}")
+def default_radius_ladder(grid: GridSpec) -> tuple[float, ...]:
+    """Geometric ladder of 12 radii from a single cell up to half the box extent."""
     r0 = 0.49 * min(grid.spacings)
     r1 = 0.5 * min(grid.extents)
-    return tuple(float(r0 * (r1 / r0) ** (i / (count - 1))) for i in range(count))
+    return tuple(float(r0 * (r1 / r0) ** (i / 11)) for i in range(12))
 
 
 def _offset_dist2(shape: tuple[int, ...], spacings: tuple[float, ...]) -> np.ndarray:

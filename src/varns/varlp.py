@@ -141,19 +141,16 @@ def holder_defect(f: ScalarField, g: ScalarField, p: ExponentField,
     return num / den
 
 
-def conjugate_pairing_lower_bound(f: ScalarField, p: ExponentField,
-                                  candidates: int = 8, seed: int = 0,
+def conjugate_pairing_lower_bound(f: ScalarField, p: ExponentField, seed: int = 0,
                                   tol: float = 1e-8) -> float:
     """Best pairing ``integral |f| |g|`` over unit-norm conjugate candidates.
 
     The candidate set is the canonical near-optimizer ``|f / norm(f)|^(p-1)``
-    plus seeded rough fields, each normalized in the conjugate Luxemburg
+    plus 8 seeded rough fields, each normalized in the conjugate Luxemburg
     norm.  The result is a certified lower bound for the dual norm and never
     exceeds twice the Luxemburg norm of ``f``.
     """
     require_same_grid(f, p)
-    if candidates < 0:
-        raise ValueError(f"candidate count must be nonnegative, got {candidates}")
     pc = conjugate_exponent(p)
     w = f.grid.cell_volume
     af = np.abs(f.values)
@@ -162,7 +159,7 @@ def conjugate_pairing_lower_bound(f: ScalarField, p: ExponentField,
         return 0.0
     pool = [(af / lux) ** (p.samples - 1.0)]
     rng = np.random.default_rng(seed)
-    for _ in range(candidates):
+    for _ in range(8):
         pool.append(np.abs(rng.standard_normal(f.grid.shape)) + 0.1)
     best = 0.0
     for values in pool:

@@ -279,14 +279,13 @@ class TestCampaignConfig:
             dataclasses.replace(good, target="frobnicate")
         with pytest.raises(ValueError, match="at least 1"):
             dataclasses.replace(good, corpus_size=0)
-        with pytest.raises(ValueError, match="at least 1"):
-            dataclasses.replace(good, refinement_levels=0)
+        with pytest.raises(ValueError, match="at least 1 grid"):
+            dataclasses.replace(good, grids=())
         with pytest.raises(ValueError, match="positive"):
             dataclasses.replace(good, bound=0.0)
         with pytest.raises(ValueError, match="unknown corpus kind"):
             dataclasses.replace(good, corpus_kind="chirps")
-        with pytest.raises(ValueError, match="grids for"):
-            dataclasses.replace(good, grids=good.grids[:2])
+        assert dataclasses.replace(good, grids=good.grids[:2]).refinement_levels == 2
         with pytest.raises(ValueError, match="exponent spec"):
             dataclasses.replace(good, exponent_specs=())
 
@@ -314,7 +313,7 @@ class TestCampaignRuns:
         return CampaignConfig(
             target="holder", corpus_size=1, seed=5, grids=(line(),),
             exponent_specs=(("constant", (2.0,)), ("constant", (2.0,))),
-            bound=4.0, refinement_levels=1, corpus_kind="indicator-union",
+            bound=4.0, corpus_kind="indicator-union",
             tol=1e-10)
 
     def test_equality_case_lands_on_ratio_one(self):
@@ -367,7 +366,7 @@ class TestCampaignRuns:
         cfg = CampaignConfig(
             target="holder", corpus_size=1, seed=5, grids=(line(),),
             exponent_specs=(("constant", (1.5,)),), bound=4.0,
-            refinement_levels=1, corpus_kind="indicator-union")
+            corpus_kind="indicator-union")
         with pytest.raises(CampaignElementError,
                            match="target holder, level 0, element 0"):
             run_campaign(cfg)
@@ -376,7 +375,7 @@ class TestCampaignRuns:
         cfg = CampaignConfig(
             target="proposition1", corpus_size=2, seed=5, grids=(cube,),
             exponent_specs=(("constant", (1.5,)),), bound=10.0,
-            refinement_levels=1, sigma=3.0)
+            sigma=3.0)
         with pytest.raises(CampaignElementError, match="target proposition1, level 0: order"):
             run_campaign(cfg)
 
@@ -507,6 +506,16 @@ class TestConfigDocuments:
         assert cfg.grids[1].resolution == (16, 16, 16)
         with pytest.raises(ValueError, match="target"):
             build_campaign_config({"corpus_size": 2})
+
+    def test_campaign_document_grids_must_match_its_levels(self):
+        grid = {"dimension": 1, "extents": [8.0], "resolution": [64], "origin": [-4.0]}
+        doc = {"target": "holder", "grids": [grid, grid]}
+        assert build_campaign_config(doc).refinement_levels == 2
+        assert build_campaign_config(dict(doc, refinement_levels=2)).refinement_levels == 2
+        with pytest.raises(ValueError, match="2 grids for 3 refinement levels"):
+            build_campaign_config(dict(doc, refinement_levels=3))
+        with pytest.raises(ValueError, match="at least 1 grid"):
+            build_campaign_config({"target": "holder", "refinement_levels": 0})
 
     def test_solver_document_builds_a_runnable_config(self):
         doc = small_solver_doc()

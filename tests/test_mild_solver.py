@@ -39,6 +39,7 @@ from varns import (
 )
 from varns import mild_solver
 from varns.mild_solver import regime_norm
+from varns.operators import SpectralWorkspace
 
 TWO_PI = 2.0 * np.pi
 
@@ -273,7 +274,7 @@ class TestInitialTerm:
         ws = make_workspace(g)
         tg = TimeGrid(1.0, 8)
         u0 = single_mode_u0(g)
-        const = TensorField.from_arrays(
+        const = TensorField(
             [[np.full(g.shape, 0.7) for _ in range(3)] for _ in range(3)], g)
         with_force = initial_term(u0, const, tg, ws)
         without = initial_term(u0, None, tg, ws)
@@ -323,7 +324,8 @@ class TestBilinearTerm:
     def test_zero_history(self):
         g = torus(8)
         tg = TimeGrid(1.0, 8)
-        out = bilinear_term(SpaceTimeField.zeros(tg, g), make_workspace(g))
+        out = bilinear_term(SpaceTimeField(np.zeros((tg.steps + 1, 3) + g.shape), tg, g),
+                            make_workspace(g))
         assert np.max(np.abs(out.data)) == 0.0
 
     def test_uniform_translation_has_no_transport(self):
@@ -345,7 +347,7 @@ class TestBilinearTerm:
         u = taylor_green_history(g, tg)
         out = bilinear_term(u, ws)
         for i in range(1, tg.steps + 1):
-            assert relative_divergence(out.frame(i), ws) < 1e-12
+            assert relative_divergence(VectorField(out.data[i], g), ws) < 1e-12
 
     def test_starts_from_zero(self):
         g = torus(8)
@@ -378,7 +380,8 @@ class TestEnergyNorms:
             (tg.steps + 1, 3) + g.shape).copy()
         u = SpaceTimeField(data, tg, g)
         p = make_exponent("radial-log", (2.5, 0.5), g)
-        direct = mixed_norm(u0.magnitude(), p, 3.0)
+        direct = mixed_norm(ScalarField(np.sqrt(np.sum(u0.values * u0.values, axis=0)), g),
+                            p, 3.0)
         assert norm_E_thm1(u, p).value == direct.value
 
     def test_sup_trace_ignores_node_order(self):
@@ -433,7 +436,7 @@ class TestEnergyNorms:
     def test_zero_history_has_zero_norm(self):
         g = torus(8)
         tg = TimeGrid(1.0, 8)
-        u = SpaceTimeField.zeros(tg, g)
+        u = SpaceTimeField(np.zeros((tg.steps + 1, 3) + g.shape), tg, g)
         p = make_exponent("constant", (2.5,), g)
         assert norm_E_thm1(u, p).value == 0.0
 
@@ -471,6 +474,32 @@ class TestOperatorConstant:
         with pytest.raises(ValueError):
             estimate_bilinear_constant("thm1", p, None, TimeGrid(1.0, 8),
                                        make_workspace(g), trials=0)
+
+
+@pytest.mark.parametrize("measure", [
+    lambda u, p, ws: estimate_bilinear_constant("thm3", p, 5.0, u.tg, ws),
+    lambda u, p, ws: estimate_bilinear_constant("thm2", p, None, u.tg, ws),
+    lambda u, p, ws: estimate_bilinear_constant("thm2", p, np.inf, u.tg, ws),
+    lambda u, p, ws: norm_E_thm2(u, p, -1.0),
+    lambda u, p, ws: norm_E_thm2(u, p, 0.5),
+    lambda u, p, ws: norm_E_thm2(u, p, np.inf),
+    lambda u, p, ws: norm_E_thm2(u, p, np.nan),
+], ids=["estimate-thm3", "estimate-no-q", "estimate-q-inf",
+        "norm-q-negative", "norm-q-below-1", "norm-q-inf", "norm-q-nan"])
+def test_bad_regime_or_q_fails_before_any_transform(measure, monkeypatch):
+    g = torus(8)
+    tg = TimeGrid(1.0, 8)
+    pg = GridSpec(1, (tg.T,), (tg.steps,), TRUNCATED, (0.0,))
+    p = exponent_from_samples(3.0 + np.sin(pg.axis_coords(0)) ** 2, pg)
+    u = taylor_green_history(g, tg)
+    ws = make_workspace(g)
+
+    def no_transform(*args):
+        raise AssertionError("transform before the regime and q checks")
+    monkeypatch.setattr(SpectralWorkspace, "forward", no_transform)
+    monkeypatch.setattr(SpectralWorkspace, "inverse", no_transform)
+    with pytest.raises(ValueError, match="regime must be|q must be"):
+        measure(u, p, ws)
 
 
 class TestSmallnessGate:

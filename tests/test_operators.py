@@ -137,11 +137,13 @@ class TestSpectralIdentities:
         assert np.array_equal(values, before)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_transport_spectrum_matches_the_full_tensor_formula(self, workers):
+    def test_transport_spectrum_matches_the_full_tensor_formula(self, workers, monkeypatch):
         # u (x) u in full, its transform, the row divergence with i k on
         # Nyquist-zeroed wavenumbers, then the projection, all in plain numpy
         g = torus(12)
-        ws = make_workspace(g, workers)
+        monkeypatch.setenv("VARNS_THREADS", str(workers))
+        ws = make_workspace(g)
+        assert ws.workers == workers
         u = np.random.default_rng(11).standard_normal((3,) + g.shape)
         n = g.resolution[0]
         k = 2.0 * np.pi * np.fft.fftfreq(n, d=g.spacings[0])
@@ -167,12 +169,12 @@ class TestSpectralIdentities:
         g = torus()
         ws = make_workspace(g)
         comps = [[smooth_random(g, 10 + 3 * l + m) for m in range(3)] for l in range(3)]
-        t = TensorField.from_arrays([[c.values for c in row] for row in comps], g)
+        t = TensorField([[c.values for c in row] for row in comps], g)
         out = tensor_divergence(t, ws)
         X = g.coords()
         # cross-check one component against a spectral scalar derivative
         k0_only = ScalarField(np.broadcast_to(np.cos(X[0] + X[2]), g.shape).copy(), g)
-        t2 = TensorField.from_arrays(
+        t2 = TensorField(
             [[k0_only.values if (l, m) == (0, 1) else np.zeros(g.shape) for m in range(3)]
              for l in range(3)], g)
         out2 = tensor_divergence(t2, ws)
@@ -187,12 +189,14 @@ class TestSpectralIdentities:
 
 
 class TestStackedTransforms:
-    def test_batched_transforms_match_per_slice_bit_for_bit(self):
+    def test_batched_transforms_match_per_slice_bit_for_bit(self, monkeypatch):
         g = torus(12)
         rng = np.random.default_rng(5)
         stack = rng.standard_normal((4, 3) + g.shape)
         for workers in (1, 2):
-            ws = make_workspace(g, workers)
+            monkeypatch.setenv("VARNS_THREADS", str(workers))
+            ws = make_workspace(g)
+            assert ws.workers == workers
             hats = ws.forward(stack)
             assert hats.shape[:2] == (4, 3)
             for j in range(4):
@@ -241,7 +245,6 @@ class TestStackedTransforms:
         assert make_workspace(g).workers == 1
         monkeypatch.setenv("VARNS_THREADS", "2")
         assert make_workspace(g).workers == 2
-        assert make_workspace(g, 1).workers == 1
 
 
 class TestHeatFlow:
@@ -295,7 +298,7 @@ class TestDuhamel:
         g = torus(8)
         ws = make_workspace(g)
         tg = TimeGrid(1.0, 16)
-        zero = SpaceTimeField.zeros(tg, g)
+        zero = SpaceTimeField(np.zeros((tg.steps + 1, 3) + g.shape), tg, g)
         out = duhamel_force(zero, tg, ws)
         assert np.max(np.abs(out.data)) == 0.0
 
