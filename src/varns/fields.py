@@ -14,11 +14,12 @@ checked, finite numpy array whose ``rank`` component axes of length
 one check and one arithmetic, and are siblings, not subtypes of one
 another.  Vector and tensor fields hand out per-component
 :class:`ScalarField` views of their array.  A :class:`SpaceTimeField`
-stacks a vector field per time node.  All containers are immutable value
-objects.
+stacks a vector field per time node and passes the same check.  All
+containers are immutable value objects.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,6 +36,15 @@ class GridMismatchError(ValueError):
 
 class FieldNotFiniteError(ValueError):
     """Field values contain NaN or Inf."""
+
+
+def as_count(value, name: str) -> int:
+    """``value`` as an ``int`` if it is an integer or an integral float;
+    anything else raises ``ValueError`` naming ``name``."""
+    if isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and float(value).is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _as_float_tuple(values, length: int, name: str) -> tuple[float, ...]:
@@ -69,6 +79,7 @@ class GridSpec:
     origin: tuple[float, ...] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "dimension", as_count(self.dimension, "dimension"))
         if self.dimension not in (1, 3):
             raise ValueError(f"dimension must be 1 or 3, got {self.dimension}")
         if self.topology not in _TOPOLOGIES:
@@ -76,7 +87,7 @@ class GridSpec:
         object.__setattr__(self, "extents", _as_float_tuple(self.extents, self.dimension, "extents"))
         origin = self.origin if self.origin is not None else (0.0,) * self.dimension
         object.__setattr__(self, "origin", _as_float_tuple(origin, self.dimension, "origin"))
-        res = tuple(int(r) for r in self.resolution)
+        res = tuple(as_count(r, "resolution") for r in self.resolution)
         if len(res) != self.dimension:
             raise ValueError(f"resolution must have {self.dimension} entries, got {len(res)}")
         if any(r < 2 for r in res):
@@ -156,7 +167,8 @@ def _check_values(values, grid: GridSpec, what: str, lead: tuple[int, ...] = ())
     want = lead + grid.shape
     if arr.shape != want:
         raise GridMismatchError(f"{what} shape {arr.shape} does not match {want} for this grid")
-    if not np.all(np.isfinite(arr)):
+    # min and max propagate NaN and need no temporary the size of a stack
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise FieldNotFiniteError(f"{what} contains non-finite values")
     return arr
 
@@ -235,7 +247,7 @@ class TimeGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "T", float(self.T))
-        object.__setattr__(self, "steps", int(self.steps))
+        object.__setattr__(self, "steps", as_count(self.steps, "steps"))
         if not 0.0 < self.T < np.inf:
             raise ValueError(f"horizon T must be positive and finite, got {self.T}")
         if self.steps < 1:
@@ -262,11 +274,9 @@ class SpaceTimeField:
     grid: GridSpec
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=float)
-        want = (self.tg.steps + 1, self.grid.dimension) + self.grid.shape
-        if arr.shape != want:
-            raise GridMismatchError(f"space-time data shape {arr.shape}, expected {want}")
-        object.__setattr__(self, "data", arr)
+        lead = (self.tg.steps + 1, self.grid.dimension)
+        object.__setattr__(self, "data",
+                           _check_values(self.data, self.grid, "space-time field", lead))
 
     def __add__(self, other: SpaceTimeField) -> SpaceTimeField:
         self._check_compatible(other)

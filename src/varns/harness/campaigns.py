@@ -25,7 +25,7 @@ from ..exponents import (
     make_exponent,
     scale_exponent,
 )
-from ..fields import PERIODIC, TRUNCATED, GridSpec, ScalarField, radial_distance
+from ..fields import PERIODIC, TRUNCATED, GridSpec, ScalarField, as_count, radial_distance
 from ..operators import (
     default_radius_ladder,
     grad_heat_kernel_defect,
@@ -67,6 +67,8 @@ class CampaignConfig:
     def __post_init__(self):
         if self.target not in _TARGETS:
             raise ValueError(f"unknown campaign target {self.target!r}")
+        object.__setattr__(self, "corpus_size", as_count(self.corpus_size, "corpus_size"))
+        object.__setattr__(self, "seed", as_count(self.seed, "seed"))
         if self.corpus_size < 1:
             raise ValueError(f"corpus size must be at least 1, got {self.corpus_size}")
         for name in ("bound", "tol", "frak_p", "sigma"):
@@ -112,7 +114,7 @@ class InequalityReport:
 
 
 def _grid_ladder(base: GridSpec, levels: int) -> tuple[GridSpec, ...]:
-    return tuple(base.refine(2**j) for j in range(levels))
+    return tuple(base.refine(2**j) for j in range(as_count(levels, "refinement_levels")))
 
 
 def default_campaign_config(target: str, corpus_size: int | None = None,

@@ -14,6 +14,7 @@ import json
 import sys
 
 from ..exponents import ExponentRangeError
+from ..fields import as_count
 from ..mild_solver import (
     ForceDivergenceError,
     PicardBlowupError,
@@ -140,8 +141,9 @@ def _cmd_solve(args) -> int:
     result = picard_solve(
         cfg,
         c_b=args.c_b if args.c_b is not None else doc.get("c_b"),
-        trials=args.trials if args.trials is not None else int(doc.get("trials", 3)),
-        seed=int(doc.get("estimate_seed", 0)),
+        trials=(args.trials if args.trials is not None
+                else as_count(doc.get("trials", 3), "trials")),
+        seed=as_count(doc.get("estimate_seed", 0), "estimate_seed"),
         override_smallness=args.override_smallness or bool(doc.get("override_smallness")),
     )
     _emit_requested(result, args)

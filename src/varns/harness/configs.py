@@ -18,6 +18,7 @@ from ..fields import (
     SpaceTimeField,
     TimeGrid,
     VectorField,
+    as_count,
     require_same_grid,
 )
 from ..mild_solver import SolverConfig
@@ -35,13 +36,11 @@ def _merge(doc: dict, overrides: dict | None) -> dict:
 
 
 def grid_from_doc(doc: dict) -> GridSpec:
-    dimension = int(doc["dimension"])
     topology = doc.get("topology", TRUNCATED)
     if topology not in (TRUNCATED, PERIODIC):
         raise ValueError(f"unknown topology {topology!r}")
-    origin = doc.get("origin", (0.0,) * dimension)
-    return GridSpec(dimension, tuple(doc["extents"]), tuple(doc["resolution"]),
-                    topology, tuple(origin))
+    return GridSpec(doc["dimension"], tuple(doc["extents"]), tuple(doc["resolution"]),
+                    topology, doc.get("origin"))
 
 
 def exponent_from_doc(doc: dict, grid: GridSpec) -> ExponentField:
@@ -52,17 +51,15 @@ def build_campaign_config(doc: dict, overrides: dict | None = None) -> CampaignC
     doc = _merge(doc, overrides)
     if "target" not in doc:
         raise ValueError("campaign config needs a 'target' key")
-    levels = int(doc.get("refinement_levels", 3))
+    levels = doc.get("refinement_levels", 3)
     cfg = default_campaign_config(doc["target"], refinement_levels=levels)
     updates = {}
-    for key in ("corpus_size", "seed"):
+    for key in ("corpus_size", "seed", "corpus_kind"):
         if key in doc:
-            updates[key] = int(doc[key])
+            updates[key] = doc[key]
     for key in ("bound", "sigma", "frak_p", "tol"):
         if key in doc:
             updates[key] = float(doc[key])
-    if "corpus_kind" in doc:
-        updates["corpus_kind"] = doc["corpus_kind"]
     if "exponent_specs" in doc:
         updates["exponent_specs"] = tuple(
             (tag, tuple(params)) for tag, params in doc["exponent_specs"])
@@ -83,7 +80,7 @@ def _initial_field_from_doc(doc: dict, grid: GridSpec) -> VectorField:
     kind = doc.get("kind", "divergence-free")
     if kind != "divergence-free":
         raise ValueError(f"unknown initial-field kind {kind!r}")
-    element = generate_corpus("divergence-free", 1, grid, int(doc.get("seed", 0)))[0]
+    element = generate_corpus("divergence-free", 1, grid, as_count(doc.get("seed", 0), "seed"))[0]
     return element * float(doc.get("amplitude", 1.0))
 
 
@@ -92,7 +89,7 @@ def _force_from_doc(doc, grid: GridSpec, tg: TimeGrid):
         return None
     kind = doc.get("kind")
     amplitude = float(doc.get("amplitude", 1.0))
-    seed = int(doc.get("seed", 0))
+    seed = as_count(doc.get("seed", 0), "seed")
     if kind == "antisymmetric-tensor":
         return antisymmetric_tensor_field(grid, seed, amplitude)
     if kind == "modulated-divergence-free":
@@ -110,7 +107,7 @@ def _force_from_doc(doc, grid: GridSpec, tg: TimeGrid):
 def build_solver_config(doc: dict, overrides: dict | None = None) -> SolverConfig:
     doc = _merge(doc, overrides)
     grid = grid_from_doc(doc["grid"])
-    tg = TimeGrid(float(doc["T"]), int(doc["steps"]))
+    tg = TimeGrid(float(doc["T"]), doc["steps"])
     regime = doc["regime"]
     if regime == "thm1":
         p_grid = grid
@@ -125,7 +122,7 @@ def build_solver_config(doc: dict, overrides: dict | None = None) -> SolverConfi
         q=None if doc.get("q") is None else float(doc["q"]),
         frak_p=float(doc.get("frak_p", 3.0)),
         tol_fixedpoint=float(doc.get("tol_fixedpoint", 1e-9)),
-        max_iters=int(doc.get("max_iters", 20)),
+        max_iters=doc.get("max_iters", 20),
         tol_norm=float(doc.get("tol_norm", 1e-8)),
         u0=u0,
         force_spec=force,

@@ -58,6 +58,7 @@ from .fields import (
     TensorField,
     TimeGrid,
     VectorField,
+    as_count,
 )
 from .operators import (
     SpectralWorkspace,
@@ -154,6 +155,7 @@ class SolverConfig:
             raise ValueError("tolerances must be positive and finite")
         if not 1 <= self.max_iters < math.inf:
             raise ValueError(f"max_iters must be finite and at least 1, got {self.max_iters}")
+        object.__setattr__(self, "max_iters", as_count(self.max_iters, "max_iters"))
         self._check_memory()
         if self.regime == "thm1":
             if self.p.grid != grid:
@@ -455,6 +457,7 @@ def estimate_bilinear_constant(regime: str, p: ExponentField, q: float | None,
     spectrum of the next node is formed on one helper thread while the
     current node is accumulated, inverted and measured.
     """
+    trials = as_count(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     rng = np.random.default_rng(seed)

@@ -3,9 +3,11 @@
 The modular of a field ``f`` against an exponent field ``p`` is the
 quadrature of ``|f(x)|^p(x)``.  The Luxemburg norm is the smallest positive
 scale ``lam`` with ``modular(f / lam) <= 1``.  For nonzero ``f`` the log of
-the modular is convex and decreasing in ``log(lam)``, so a monotone Newton
-solve in ``log(lam)`` computes the norm with a certified half-width relative
-to its value, at any scale.
+the modular is convex and decreasing in ``log(lam)``, with slope between
+``-p_plus`` and ``-p_minus``.  A Newton solve in ``log(lam)`` returns the
+root itself, so the value is a continuous function of ``f`` up to rounding,
+and the slope bound certifies a tolerance relative to the value, at any
+scale.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ _MAX_STEPS = 100
 
 
 class BisectionError(RuntimeError):
-    """The Luxemburg solve could not certify a bracket; input scale or tolerance is pathological."""
+    """The Luxemburg solve could not certify its root; input scale or tolerance is pathological."""
 
 
 class UndefinedRatioError(ZeroDivisionError):
@@ -65,13 +67,14 @@ def luxemburg_norm(f: ScalarField, p: ExponentField, tol: float = 1e-8) -> NormV
     Returns exactly zero for the zero field.  Otherwise solves
     ``G(s) = log modular(f / e^s) = 0`` for ``s = log(lam)``.  ``G`` is a
     log-sum-exp of affine functions of ``s``, so it is convex and decreasing
-    with slope in ``[-p_plus, -p_minus]``.  Newton steps started at
-    ``min(G(0) / p_minus, G(0) / p_plus)``, which that slope bound places
-    left of the root, climb to it without passing it.  Every step is at
-    least ``tol / 8``, so once a Newton step falls below that, the next
-    point lands past the root and certifies an upper end.  The value is the
-    midpoint of the certified bracket in ``lam`` and the tolerance its
-    half-width, at most ``tol * value``.
+    with slope in ``[-p_plus, -p_minus]``.  One evaluation at ``s`` thus
+    puts the root within ``|G(s)| / p_minus`` of ``s``, and the Newton point
+    ``s + G(s) / |G'(s)|`` lies in that interval too.  Newton runs from
+    ``min(G(0) / p_minus, G(0) / p_plus)`` and stops at the first point
+    whose interval has half-width at most ``log1p(tol) / 16``.  The value is
+    that point's Newton point, which is the root up to rounding, and the
+    tolerance ``value * ((1 + tol)^(1/8) - 1)`` bounds its distance from the
+    root with room for rounding.
     """
     require_same_grid(f, p)
     if not 0.0 < tol < math.inf:
@@ -93,23 +96,14 @@ def luxemburg_norm(f: ScalarField, p: ExponentField, tol: float = 1e-8) -> NormV
     g0, _ = log_modular(0.0)
     if g0 == 0.0:
         return NormValue(1.0, "luxemburg", 0.0)
-    # a certifying step well inside tol keeps the midpoint's bias there too,
-    # so norms of f and c * f agree to better than tol
-    gap = 0.125 * tol
+    width = math.log1p(tol) / 16.0
     s = min(g0 / p.p_minus, g0 / p.p_plus)
-    lo, hi = -np.inf, np.inf
     for _ in range(_MAX_STEPS):
         g, slope = log_modular(s)
-        if g > 0.0:
-            lo, s = s, s + max(g / -slope, gap)
-        else:
-            hi = s
-        # the slack absorbs rounding in lo + gap
-        if hi - lo <= 1.5 * gap:
-            lam = float(np.exp(lo))
-            half = 0.5 * lam * float(np.expm1(hi - lo))
-            return NormValue(lam + half, "luxemburg", half)
-        s = min(s, hi - gap)
+        s -= g / slope
+        if abs(g) <= p.p_minus * width:
+            value = math.exp(s)
+            return NormValue(value, "luxemburg", value * math.expm1(2.0 * width))
     raise BisectionError(f"could not certify the norm to relative tolerance {tol}")
 
 

@@ -15,6 +15,7 @@ from varns import (
     GridSpec,
     ScalarField,
     TensorField,
+    TimeGrid,
     VectorField,
     classical_norm,
     divergence,
@@ -270,6 +271,57 @@ def _campaign(**changes):
 def test_non_finite_or_negative_parameters_are_rejected(build):
     with pytest.raises(ValueError, match="positive and finite"):
         build()
+
+
+def _solve_document(tmp_path, **keys):
+    return main(["solve", "--config",
+                 write_json(tmp_path / "s.json", dict(small_solver_doc(), **keys))])
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda tmp: GridSpec(1, (1.0,), (16.7,)), "resolution"),
+    (lambda tmp: TimeGrid(1.0, 8.9), "steps"),
+    (lambda tmp: grid_from_doc({"dimension": 3.5, "extents": [1.0] * 3,
+                                "resolution": [4] * 3}), "dimension"),
+    (lambda tmp: build_campaign_config({"target": "holder", "refinement_levels": 2.9}),
+     "refinement_levels"),
+    (lambda tmp: build_campaign_config({"target": "holder", "corpus_size": 2.5}),
+     "corpus_size"),
+    (lambda tmp: build_campaign_config({"target": "holder", "seed": 0.5}), "seed"),
+    (lambda tmp: build_solver_config(dict(small_solver_doc(), steps=8.5)), "steps"),
+    (lambda tmp: build_solver_config(dict(small_solver_doc(), max_iters=2.5)), "max_iters"),
+    (lambda tmp: build_solver_config(dict(small_solver_doc(), u0={"seed": 3.5})), "seed"),
+    (lambda tmp: build_solver_config(
+        dict(small_solver_doc(), force={"kind": "antisymmetric-tensor", "seed": 1.5})), "seed"),
+    (lambda tmp: _solve_document(tmp, trials=2.5), "trials"),
+    (lambda tmp: _solve_document(tmp, estimate_seed=0.5), "estimate_seed"),
+    (lambda tmp: dataclasses.replace(build_solver_config(small_solver_doc()), max_iters=2.5),
+     "max_iters"),
+    (lambda tmp: picard_solve(build_solver_config(small_solver_doc()), trials=2.5), "trials"),
+    (lambda tmp: _campaign(corpus_size=2.5), "corpus_size"),
+], ids=["grid-resolution", "time-steps", "grid-doc-dimension", "campaign-levels",
+        "campaign-corpus_size", "campaign-seed", "solver-steps", "solver-max_iters",
+        "solver-u0-seed", "solver-force-seed", "cli-trials", "cli-estimate_seed",
+        "config-max_iters", "estimate-trials", "config-corpus_size"])
+def test_non_integral_counts_are_refused(build, name, tmp_path, capsys):
+    try:
+        rc = build(tmp_path)
+    except ValueError as exc:
+        message = str(exc)
+    else:
+        # the command line reports the refusal and exits with 2
+        assert rc == 2
+        message = capsys.readouterr().err
+    assert f"{name} must be an integer" in message
+
+
+def test_integral_float_counts_are_accepted():
+    assert GridSpec(1, (1.0,), (16.0,)).resolution == (16,)
+    assert TimeGrid(1.0, 8.0).steps == 8
+    cfg = build_campaign_config({"target": "holder", "refinement_levels": 2.0,
+                                 "corpus_size": 3.0})
+    assert (cfg.refinement_levels, cfg.corpus_size) == (2, 3)
+    assert type(cfg.corpus_size) is int
 
 
 class TestCampaignConfig:

@@ -21,6 +21,7 @@ from varns import (
     modular,
     unit_function_norm,
 )
+from varns.harness import generate_corpus
 
 # Independently computed reference values (root finding and quadrature were
 # rerun with a separate implementation before these tests were written).
@@ -413,6 +414,35 @@ def test_relative_tolerance_at_every_scale_variable_exponent(seed, power, tol):
     unit = c * luxemburg_norm(f, p, tol).value
     assert abs(out.value - unit) <= tol * unit
     _assert_certified(scaled, p, out, tol)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       power=st.floats(min_value=-12.0, max_value=12.0),
+       sign=st.sampled_from([-1.0, 1.0]))
+def test_homogeneity_holds_to_rounding(seed, power, sign):
+    # the value is the root itself, not a point of a bracket around it
+    f, p = _field_and_exponent(seed)
+    c = sign * 10.0 ** power
+    a = luxemburg_norm(ScalarField(c * f.values, f.grid), p).value
+    b = abs(c) * luxemburg_norm(f, p).value
+    assert abs(a - b) <= 1e-13 * b
+
+
+_CUBE = GridSpec(3, (24.0,) * 3, (16,) * 3, TRUNCATED, (-12.0,) * 3)
+_CUBE_P = make_exponent("radial-log", (2.0, 0.5), _CUBE)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_rounding_level_input_changes_move_the_norm_by_rounding(seed):
+    # campaign-like fields: one smooth-decaying level against a radial-log exponent
+    rng = np.random.default_rng(seed)
+    for f in generate_corpus("smooth-decaying", 5, _CUBE, seed):
+        moved = f.values * (1.0 + 1e-14 * rng.uniform(-1.0, 1.0, _CUBE.shape))
+        a = luxemburg_norm(f, _CUBE_P).value
+        b = luxemburg_norm(ScalarField(moved, _CUBE), _CUBE_P).value
+        assert abs(a - b) <= 1e-12 * a
 
 
 @settings(max_examples=25, deadline=None)
