@@ -20,18 +20,31 @@ spectrum advance one Duhamel accumulator that also carries the data's heat
 flow, the new frame is one inverse transform of it, and the frame is
 measured against ``u[i]`` and then written over it.  ``e0`` is the same
 sweep without transport, and the residual a sweep that does not write.
+Every sweep starts from the data's frame, so node 0's iterate spectrum is
+formed once per solve.
 
-Every transport stream is a two-stage pipeline on one helper thread.  The
-transport spectrum of node ``i + 1`` reads only the old ``u[i + 1]``, never
-the accumulator, so the helper forms it while the calling thread advances
-the accumulator, inverts, checks and measures node ``i`` and writes
-``u[i]``.  A spectrum the helper has not started when it is needed is
-formed by the calling thread.  Either thread computes it with the same
-arithmetic, so every output is bit for bit that of a serial sweep.  The
-helper belongs to the call that streams (:func:`picard_solve`, one trial
-of :func:`estimate_bilinear_constant`, or :func:`bilinear_term`) and is
-shut down when that call returns or raises.  ``VARNS_THREADS`` still sets
-the FFT workers of each transform.
+Every forcing stream is a two-stage pipeline on one helper thread
+(:func:`_ahead`).  A node's forcing spectrum never reads the accumulator:
+the sampled force of node ``k`` is its own frame, and the iterate's
+``force(k) - P div(u (x) u)`` reads only the old ``u[k]``, which the
+calling thread overwrites only after node ``k`` is handed out.  So the
+helper forms the next nodes while the calling thread advances the
+accumulator, inverts, checks and measures node ``i`` and writes ``u[i]``;
+after the last sweep it forward-transforms the frames of the solution while
+the calling thread measures the divergence of each.  A node the helper has
+not started when it is needed is formed by the calling thread, and so is
+the next free node while the calling thread would otherwise wait for the
+helper.  Either thread computes a node with the same arithmetic, so every
+output is bit for bit that of a serial sweep.  The helper belongs to the
+call that streams (:func:`picard_solve`, :func:`smallness_check`,
+:func:`initial_term` or :func:`bilinear_term`) and is shut down when that
+call returns or raises.  ``VARNS_THREADS`` still sets the FFT workers of
+each transform.
+
+The operator constant ``c_B`` needs no helper and no history.  A trial
+field is a sum of two time-separable modes ``m_j(t) V_j(x)``, and the
+transport spectrum is bilinear, so three spectra ``T(V_j, V_k)`` give it at
+every node (:func:`_trial_ratios`).
 
 The ``thm2`` gate also scans shorter horizons.  ``e0`` is causal, so on
 ``[0, t_k]`` it is the first ``k`` time cells of the one stream the gate
@@ -241,24 +254,28 @@ def initial_term(u0: VectorField, force_spec, tg: TimeGrid,
     the force, or a sampled space-time history.  Either way the resulting
     force must be divergence-free to ``1e-8`` relative or the call fails.
     A static force is transformed once and a sampled one once per node,
-    and each node costs one inverse transform (:func:`_e0_frames`).
-    :func:`smallness_check` and :func:`picard_solve` measure the same
-    frames without storing them.
+    ahead of the caller on a helper thread, and each node costs one inverse
+    transform (:func:`_e0_frames`).  :func:`smallness_check` and
+    :func:`picard_solve` measure the same frames without storing them.
     """
     grid = ws.grid
     if u0.grid != grid:
         raise ValueError("data and workspace grids differ")
     data = np.empty((tg.steps + 1, grid.dimension) + grid.shape)
-    for i, frame in enumerate(_e0_frames(u0, force_spec, tg, ws)):
-        data[i] = frame
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for i, frame in enumerate(_e0_frames(u0, force_spec, tg, ws, pool)):
+            data[i] = frame
     return SpaceTimeField(data, tg, grid)
 
 
-def _e0_frames(u0: VectorField, force_spec, tg: TimeGrid, ws: SpectralWorkspace):
+def _e0_frames(u0: VectorField, force_spec, tg: TimeGrid, ws: SpectralWorkspace,
+               pool: ThreadPoolExecutor):
     """Node frames of ``e0``: the data's spectrum starts the Duhamel
     accumulator of the checked force, whose one-step decay carries the
-    data's heat flow, so each node costs one inverse transform."""
-    return duhamel_frames(_force_at_nodes(force_spec, tg, ws), tg, ws, ws.forward(u0.values))
+    data's heat flow, so each node costs one inverse transform.  The force
+    spectra come from :func:`_force_at_nodes`."""
+    force = _force_at_nodes(force_spec, tg, ws, pool)
+    return duhamel_frames(force, tg, ws, ws.forward(u0.values))
 
 
 def _check_force(hat: np.ndarray, what: str, ws: SpectralWorkspace) -> None:
@@ -267,10 +284,14 @@ def _check_force(hat: np.ndarray, what: str, ws: SpectralWorkspace) -> None:
         raise ForceDivergenceError(f"{what} has relative divergence {defect:.3e} > {_DIV_TOL}")
 
 
-def _force_at_nodes(force_spec, tg: TimeGrid, ws: SpectralWorkspace):
+def _force_at_nodes(force_spec, tg: TimeGrid, ws: SpectralWorkspace,
+                    pool: ThreadPoolExecutor, hats: np.ndarray | None = None):
     """Checked ``hat_at_node`` of a forcing on ``tg``: ``None`` for no
     forcing, the static spectrum of a tensor's row divergence at every node,
-    or the spectra of a sampled history, each node transformed once."""
+    or the spectra of a sampled history.  A sampled node is transformed and
+    checked ahead of the caller, mostly on ``pool``'s thread (:func:`_ahead`);
+    with ``hats``, a ``(steps + 1, dim, *half-spectrum)`` array, each
+    spectrum is stored there as it arrives, so later sweeps can read it."""
     _check_force_spec(force_spec, ws.grid, tg)
     if force_spec is None:
         return None
@@ -278,11 +299,16 @@ def _force_at_nodes(force_spec, tg: TimeGrid, ws: SpectralWorkspace):
         hat = _div_hat(ws.forward(force_spec.values), ws)
         _check_force(hat, "tensor force", ws)
         return lambda i: hat
-    hats = np.empty((tg.steps + 1, ws.grid.dimension) + ws.k2.shape, dtype=complex)
-    for i, frame in enumerate(force_spec.data):
-        hats[i] = ws.forward(frame)
-        _check_force(hats[i], "sampled force", ws)
-    return hats.__getitem__
+    frames = force_spec.data
+
+    def node(i: int) -> np.ndarray:
+        hat = ws.forward(frames[i])
+        if hats is not None:
+            hats[i] = hat
+            hat = hats[i]
+        _check_force(hat, "sampled force", ws)
+        return hat
+    return _ahead(node, len(frames), pool)
 
 
 def bilinear_term(u: SpaceTimeField, ws: SpectralWorkspace) -> SpaceTimeField:
@@ -294,45 +320,69 @@ def bilinear_term(u: SpaceTimeField, ws: SpectralWorkspace) -> SpaceTimeField:
     return SpaceTimeField(data, u.tg, u.grid)
 
 
-def _transport_at_nodes(u: np.ndarray, ws: SpectralWorkspace, pool: ThreadPoolExecutor):
-    """``hat_at_node`` of the transport spectrum of a history stack ``u``,
-    formed on ``pool``'s one thread a node ahead of the caller.
+def _ahead(job, nodes: int, pool: ThreadPoolExecutor):
+    """``hat_at_node`` of ``job(i)`` for nodes ``0 .. nodes - 1``, handed out
+    in order and formed by whichever of the caller and ``pool``'s one thread
+    is free.
 
-    Handing out node ``i`` starts node ``i + 1``, so that spectrum is formed
-    while the caller advances its accumulator, inverts and measures node
-    ``i``.  The job for node ``i + 1`` reads only ``u[i + 1]``, which
-    :func:`~varns.operators.duhamel_frames` lets the caller overwrite only
-    after that node is handed out and yielded.  Each job runs in a copy of
-    the submitting context, so it keeps the caller's numpy error state.  A
-    node whose job has not started (node 0 of each sweep, or any node while
-    the helper waits for a core) is formed by the calling thread instead, so
-    a sweep never waits for the helper to start a job.  The next job is
-    submitted only after that, so one transport spectrum at most is being
-    formed at any time.
+    The helper is given the first two nodes not yet taken at each hand-out,
+    so it forms them while the caller advances its accumulator, inverts and
+    measures, and has the next one queued when it finishes.  A node whose
+    job has not started when it is needed (node 0, or any node while the
+    helper waits for a core) is formed by the calling thread instead.  If
+    the helper is still forming the node the caller needs, the caller forms
+    the first node not yet taken meanwhile, so the faster stage takes work
+    from the slower one instead of waiting for it.  A job for node ``k``
+    starts only after every earlier node has been taken, and ends before
+    ``k`` is handed out.  Each job runs in a copy of the submitting context,
+    so it keeps the caller's numpy error state, and an error it raises
+    reaches the caller when its node is handed out, or when the caller
+    forms it.  At most two nodes are being formed at any time, one per
+    thread.  Node 0 starts the stream over.
     """
-    ahead = None  # the node in flight and its future
-
-    def submit(i: int):
-        return pool.submit(contextvars.copy_context().run, _transport_hat, u[i], ws)
+    queued = []  # (node, future) on the helper, in node order
+    formed = {}  # node -> spectrum this thread formed ahead of its turn
+    free = 0  # the first node neither queued nor formed
 
     def hat(i: int) -> np.ndarray:
-        nonlocal ahead
-        job = ahead[1] if ahead is not None and ahead[0] == i else None
-        own = _transport_hat(u[i], ws) if job is None or job.cancel() else None
-        ahead = (i + 1, submit(i + 1)) if i + 1 < len(u) else None
-        return job.result() if own is None else own
+        nonlocal free
+        if i == 0:
+            free = 0  # a new pass; the last one took every node
+        if i in formed:
+            out = formed.pop(i)
+        elif queued and queued[0][0] == i and not queued[0][1].cancel():
+            future = queued.pop(0)[1]
+            if not future.done() and free < nodes:
+                formed[free] = job(free)
+                free += 1
+            out = future.result()
+        else:
+            if queued and queued[0][0] == i:
+                queued.pop(0)
+            free = max(free, i + 1)
+            out = job(i)
+        while len(queued) < 2 and free < nodes:
+            queued.append((free, pool.submit(contextvars.copy_context().run, job, free)))
+            free += 1
+        return out
     return hat
 
 
-def _iterate_at_nodes(u: np.ndarray, force, ws: SpectralWorkspace, pool: ThreadPoolExecutor):
-    """``hat_at_node`` of the next iterate ``e0 - B(u)``: the force spectrum
-    (``force`` is a ``hat_at_node`` or ``None``) minus the transport
-    spectrum of ``u`` at the same node, which is formed a node ahead on
-    ``pool``."""
-    transport = _transport_at_nodes(u, ws, pool)
+def _transport_at_nodes(u: np.ndarray, ws: SpectralWorkspace, pool: ThreadPoolExecutor):
+    """``hat_at_node`` of the transport spectrum of a history stack ``u``,
+    formed ahead of the caller, mostly on ``pool`` (:func:`_ahead`).  The
+    job for node ``k`` reads only ``u[k]``, which
+    :func:`~varns.operators.duhamel_frames` lets the caller overwrite only
+    after node ``k`` is handed out and yielded."""
+    return _ahead(lambda i: _transport_hat(u[i], ws), len(u), pool)
 
+
+def _iterate_hat(u: np.ndarray, force, ws: SpectralWorkspace):
+    """Node spectrum of the next iterate ``e0 - B(u)``: the force spectrum
+    (``force`` is a ``hat_at_node`` or ``None``) minus the transport
+    spectrum of ``u`` at the same node."""
     def hat(i: int) -> np.ndarray:
-        g = transport(i)
+        g = _transport_hat(u[i], ws)
         return np.negative(g, out=g) if force is None else force(i) - g
     return hat
 
@@ -415,11 +465,14 @@ def regime_norm(u: SpaceTimeField, cfg: SolverConfig) -> NormValue:
     return norm_E_thm2(u, cfg.p, cfg.q, cfg.tol_norm)
 
 
-def _random_divfree_history(grid: GridSpec, tg: TimeGrid,
-                            rng: np.random.Generator, modes: int = 2) -> SpaceTimeField:
+def _trial_modes(grid: GridSpec, tg: TimeGrid,
+                 rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The two seeded modes of a trial field ``u = sum_j m_j(t) e_j w_j(x)``:
+    per mode the time modulation ``m_j`` at the nodes, a unit polarization
+    ``e_j`` transverse to the wave vector, and the plane wave ``w_j``."""
     coords = grid.coords()
-    data = np.zeros((tg.steps + 1, grid.dimension) + grid.shape)
-    for _ in range(modes):
+    out = []
+    for _ in range(2):
         while True:
             n = rng.integers(-2, 3, size=grid.dimension)
             if np.any(n != 0):
@@ -437,11 +490,47 @@ def _random_divfree_history(grid: GridSpec, tg: TimeGrid,
         wave = amp * np.cos(arg + phase)
         omega = rng.uniform(0.0, 2.0 * np.pi)
         psi = rng.uniform(0.0, 2.0 * np.pi)
-        mod = 1.0 + 0.5 * np.cos(omega * tg.nodes + psi)
-        for i in range(tg.steps + 1):
-            for m in range(grid.dimension):
-                data[i, m] += mod[i] * e[m] * wave
-    return SpaceTimeField(data, tg, grid)
+        out.append((1.0 + 0.5 * np.cos(omega * tg.nodes + psi), e, wave))
+    return out
+
+
+def _trial_frame(modes, i: int, grid: GridSpec) -> np.ndarray:
+    """Node ``i`` of the trial field of ``modes``."""
+    frame = np.zeros((grid.dimension,) + grid.shape)
+    for mod, e, wave in modes:
+        for m in range(grid.dimension):
+            frame[m] += mod[i] * e[m] * wave
+    return frame
+
+
+def _trial_ratios(regime: str, p: ExponentField, q: float | None, tg: TimeGrid,
+                  ws: SpectralWorkspace, trials: int, seed: int, frak_p: float, tol: float):
+    """``norm(B(u, u)) / norm(u)^2`` of each seeded trial, in draw order
+    (0 for a zero trial).
+
+    A trial is a sum of time-separable modes ``m_j(t) V_j(x)``, and the
+    transport spectrum is bilinear, so ``B(u, u)`` is the Duhamel stream of
+    ``sum_{j<=k} m_j(t_i) m_k(t_i) T(V_j, V_k)``: one transport spectrum per
+    pair of modes, three for two modes.  Node frames of ``u`` are formed
+    from the modes as they are measured, so no history is held.
+    """
+    rng = np.random.default_rng(seed)
+    grid, nodes = ws.grid, tg.steps + 1
+    for _ in range(trials):
+        size = _Trace(regime, grid, tg, p, q, frak_p, tol)
+        transport = _Trace(regime, grid, tg, p, q, frak_p, tol)
+        modes = _trial_modes(grid, tg, rng)
+        nu = size.feed(_trial_frame(modes, i, grid) for i in range(nodes)).norm().value
+        fields = [np.multiply.outer(e, wave) for _, e, wave in modes]
+        pairs = [(j, k) for j in range(len(modes)) for k in range(j, len(modes))]
+        spectra = [_transport_hat(fields[j], ws, None if j == k else fields[k])
+                   for j, k in pairs]
+
+        def hat(i: int) -> np.ndarray:
+            return sum(modes[j][0][i] * modes[k][0][i] * g
+                       for (j, k), g in zip(pairs, spectra))
+        nb = transport.feed(duhamel_frames(hat, tg, ws)).norm().value
+        yield nb / (nu * nu) if nu > 0 else 0.0
 
 
 def estimate_bilinear_constant(regime: str, p: ExponentField, q: float | None,
@@ -452,28 +541,15 @@ def estimate_bilinear_constant(regime: str, p: ExponentField, q: float | None,
 
     Trial fields are seeded divergence-free plane-wave packets with smooth
     time modulation, so repeated calls are deterministic and more trials
-    can only raise the estimate.  ``B(u,u)`` is streamed node by node into
-    its norm, so one trial stack is the only history held.  The transport
-    spectrum of the next node is formed on one helper thread while the
-    current node is accumulated, inverted and measured.
+    can only raise the estimate.  Each trial is measured from its modes
+    (:func:`_trial_ratios`): three transport spectra, and ``u`` and
+    ``B(u,u)`` streamed node by node into their norms, so no history is
+    held.
     """
     trials = as_count(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(trials):
-        u = _random_divfree_history(ws.grid, tg, rng).data
-        nu = _Trace(regime, ws.grid, tg, p, q, frak_p, tol).feed(u).norm().value
-        # the helper's shutdown drains any cancelled job still holding a
-        # frame of u, so the next trial is drawn with this one released
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            frames = duhamel_frames(_transport_at_nodes(u, ws, pool), tg, ws)
-            nb = _Trace(regime, ws.grid, tg, p, q, frak_p, tol).feed(frames).norm().value
-        del u, frames
-        if nu > 0:
-            best = max(best, nb / (nu * nu))
-    return best
+    return max(_trial_ratios(regime, p, q, tg, ws, trials, seed, frak_p, tol))
 
 
 def smallness_check(cfg: SolverConfig, c_b: float) -> SmallnessVerdict:
@@ -481,7 +557,8 @@ def smallness_check(cfg: SolverConfig, c_b: float) -> SmallnessVerdict:
 
     ``c_b`` must be positive and finite; it is checked before any transform.
     ``e0`` is streamed node by node into its norm trace, never stored: the
-    force is transformed once, and the data's spectrum starts the Duhamel
+    force is transformed once, a sampled one node by node ahead of the
+    caller on a helper thread, and the data's spectrum starts the Duhamel
     accumulator, so each node frame is one inverse transform.
 
     For ``thm2`` the shorter horizons ``T' = t_k``, ``k = steps, ..., 2``,
@@ -496,8 +573,9 @@ def smallness_check(cfg: SolverConfig, c_b: float) -> SmallnessVerdict:
     """
     _check_constant(c_b)
     ws = make_workspace(cfg.u0.grid)
-    frames = _e0_frames(cfg.u0, cfg.force_spec, cfg.tg, ws)
-    return _smallness(cfg, c_b, _trace(cfg).feed(frames))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        trace = _trace(cfg).feed(_e0_frames(cfg.u0, cfg.force_spec, cfg.tg, ws, pool))
+    return _smallness(cfg, c_b, trace)
 
 
 def _check_constant(c_b: float) -> None:
@@ -524,20 +602,23 @@ def _smallness(cfg: SolverConfig, c_b: float, trace: _Trace) -> SmallnessVerdict
     return SmallnessVerdict(delta, threshold, c_b, passed, admissible, tuple(ladder))
 
 
-def _sweep(cfg: SolverConfig, u: np.ndarray, frames, what: str,
-           write: bool = True) -> tuple[_Trace, _Trace]:
-    """Measure a stream of node frames against the stack ``u``: the traces
-    of ``frame - u[i]`` and of ``frame``.  Each frame must be finite, and
-    with ``write`` it replaces ``u[i]`` once it has been measured."""
-    step, size = _trace(cfg), _trace(cfg)
-    for i, frame in enumerate(frames):
+def _sweep(u: np.ndarray, frames, what: str, step: _Trace | None = None,
+           size: _Trace | None = None, write: bool = True) -> None:
+    """Measure a stream of node frames against the stack ``u``: ``step``,
+    when given, is fed ``frame - u[i]`` and ``size`` is fed ``frame``.  Each
+    frame must be finite, and with ``write`` it replaces ``u[i]`` once it
+    has been measured."""
+    for i in range(len(u)):
+        frame = next(frames)
         if not np.isfinite(frame).all():
             raise PicardBlowupError(f"{what} produced non-finite values")
-        step.add(frame - u[i])
-        size.add(frame)
+        if step is not None:
+            step.add(frame - u[i])
+        if size is not None:
+            size.add(frame)
         if write:
             u[i] = frame
-    return step, size
+        del frame  # not held while the next frame is formed
 
 
 def picard_solve(cfg: SolverConfig, c_b: float | None = None, trials: int = 3,
@@ -554,10 +635,16 @@ def picard_solve(cfg: SolverConfig, c_b: float | None = None, trials: int = 3,
     ``e0 - B(u)`` at node ``i`` as one spectral sum and one inverse
     transform, checks the frame is finite, measures it and its increment,
     and overwrites ``u[i]``.  The residual is that sweep without the write.
-    Each sweep runs in two stages: one helper thread forms the transport
-    spectrum of node ``i + 1`` from the old ``u[i + 1]`` while this thread
-    does the rest of node ``i`` (and forms any spectrum the helper has not
-    started).  The helper lives for this call only.
+
+    One helper thread, living for this call only, forms the nodes' forcing
+    spectra ahead of this thread (:func:`_ahead`): the sampled force
+    spectra of ``e0`` (stored as they arrive), then in each sweep the whole
+    ``force(k) - P div(u[k] (x) u[k])`` from the old ``u[k]``, and last the
+    forward transforms of the solution's frames for its divergence defect.
+    This thread advances the accumulator, inverts, checks and measures, and
+    forms a node itself when the helper has not started it or is still
+    busy with the one it needs.  Every sweep starts from the data's frame,
+    so node 0's iterate spectrum is formed once per solve.
 
     ``disable_bilinear`` switches the transport term off (the linear heat
     limit); ``override_smallness`` lets the run proceed past a failed gate,
@@ -573,24 +660,38 @@ def picard_solve(cfg: SolverConfig, c_b: float | None = None, trials: int = 3,
     _check_constant(c_b)
     tg, grid = cfg.tg, cfg.u0.grid
     u0_hat = ws.forward(cfg.u0.values)
-    force = _force_at_nodes(cfg.force_spec, tg, ws)
     u = np.zeros((tg.steps + 1, grid.dimension) + grid.shape)
-    _, size = _sweep(cfg, u, duhamel_frames(force, tg, ws, u0_hat), "the initial term")
-    verdict = _smallness(cfg, c_b, size)
-    if not verdict.passed and not override_smallness:
-        raise SmallnessError(
-            f"data norm {verdict.delta:.6e} is not below the contraction "
-            f"threshold {verdict.threshold:.6e}; pass override_smallness=True to force"
-        )
-
-    norms = [verdict.delta]
-    increments: list[float] = []
-    converged = False
-    residual = 0.0
+    hats = None
+    if isinstance(cfg.force_spec, SpaceTimeField):
+        hats = np.empty((tg.steps + 1, grid.dimension) + ws.k2.shape, dtype=complex)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        hat = force if disable_bilinear else _iterate_at_nodes(u, force, ws, pool)
+        force = _force_at_nodes(cfg.force_spec, tg, ws, pool, hats)
+        size = _trace(cfg)
+        _sweep(u, duhamel_frames(force, tg, ws, u0_hat), "the initial term", size=size)
+        if hats is not None:
+            force = hats.__getitem__
+        verdict = _smallness(cfg, c_b, size)
+        if not verdict.passed and not override_smallness:
+            raise SmallnessError(
+                f"data norm {verdict.delta:.6e} is not below the contraction "
+                f"threshold {verdict.threshold:.6e}; pass override_smallness=True to force"
+            )
+
+        hat = force
+        if not disable_bilinear:
+            iterate = _iterate_hat(u, force, ws)
+            # u[0] is the data's frame after every sweep, so node 0's spectrum
+            # is the same in each; every sweep reads it, so nothing may write it
+            first = iterate(0)
+            first.flags.writeable = False
+            hat = _ahead(lambda i: first if i == 0 else iterate(i), len(u), pool)
+        norms = [verdict.delta]
+        increments: list[float] = []
+        converged = False
+        residual = 0.0
         for n in range(1, cfg.max_iters + 1):
-            step, size = _sweep(cfg, u, duhamel_frames(hat, tg, ws, u0_hat), f"iterate {n}")
+            step, size = _trace(cfg), _trace(cfg)
+            _sweep(u, duhamel_frames(hat, tg, ws, u0_hat), f"iterate {n}", step, size)
             d = step.norm().value
             increments.append(d)
             norms.append(size.norm().value)
@@ -600,18 +701,19 @@ def picard_solve(cfg: SolverConfig, c_b: float | None = None, trials: int = 3,
 
         if not disable_bilinear:
             # residual of the fixed-point equation, which is also the next increment
-            step, _ = _sweep(cfg, u, duhamel_frames(hat, tg, ws, u0_hat), "the residual",
-                             write=False)
+            step = _trace(cfg)
+            _sweep(u, duhamel_frames(hat, tg, ws, u0_hat), "the residual", step, write=False)
             residual = step.norm().value
+
+        div_defect = 0.0
+        spectrum = _ahead(lambda i: ws.forward(u[i]), len(u), pool)
+        for i in range(len(u)):
+            div_defect = max(div_defect, _relative_divergence_hat(spectrum(i), ws))
 
     contraction = None
     positive = [(a, b) for a, b in zip(increments, increments[1:]) if a > 0]
     if positive:
         contraction = max(b / a for a, b in positive)
-
-    div_defect = 0.0
-    for frame in u:
-        div_defect = max(div_defect, _relative_divergence_hat(ws.forward(frame), ws))
 
     return SolverResult(tuple(norms), tuple(increments), SpaceTimeField(u, tg, grid),
                         residual, contraction, c_b, verdict, converged, div_defect)

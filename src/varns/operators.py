@@ -80,14 +80,17 @@ class SpectralWorkspace:
     ``k_deriv`` are the Nyquist-zeroed wavenumbers (odd symbols), ``k2``
     the squared full ones (even symbols) and ``k2_deriv`` the squared
     Nyquist-zeroed ones; all are broadcastable against the half-complex
-    spectrum layout of the real FFT.  ``forward`` and ``inverse`` transform
-    over the trailing grid axes of a stack.
+    spectrum layout of the real FFT.  ``parseval`` weighs each bin of that
+    layout by the number of full-spectrum bins it stands for (1 on the
+    self-conjugate planes, 2 elsewhere).  ``forward`` and ``inverse``
+    transform over the trailing grid axes of a stack.
     """
 
     grid: GridSpec
     k_deriv: tuple[np.ndarray, ...]
     k2: np.ndarray
     k2_deriv: np.ndarray
+    parseval: np.ndarray
     workers: int
 
     def forward(self, values: np.ndarray) -> np.ndarray:
@@ -130,7 +133,11 @@ def _workspace(grid: GridSpec, workers: int) -> SpectralWorkspace:
         k_deriv.append(kd.reshape(shape))
     k2 = sum(k * k for k in k_full)
     k2_deriv = sum(k * k for k in k_deriv)
-    return SpectralWorkspace(grid, tuple(k_deriv), k2, k2_deriv, workers)
+    parseval = np.full(k2.shape, 2.0)
+    parseval[..., 0] = 1.0
+    if grid.resolution[-1] % 2 == 0:
+        parseval[..., -1] = 1.0
+    return SpectralWorkspace(grid, tuple(k_deriv), k2, k2_deriv, parseval, workers)
 
 
 # Hat-level helpers.  ``hats`` is a spectrum stack whose first axis runs
@@ -158,42 +165,39 @@ def _leray_hat(hats: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
     return hats
 
 
-def _transport_hat(u: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    """Leray-projected divergence spectrum of ``u (x) u`` for one vector frame.
+def _transport_hat(u: np.ndarray, ws: SpectralWorkspace,
+                   v: np.ndarray | None = None) -> np.ndarray:
+    """Leray-projected divergence spectrum of ``u (x) u`` for one vector frame,
+    or of ``u (x) v + v (x) u`` for two.
 
     The product tensor is symmetric, so only its upper triangle is
-    transformed.  The row divergence is the sum of ``_div_hat(full)``, run
-    in one output buffer straight from the upper-triangle spectra without
-    building the full tensor, and :func:`_leray_hat` projects that buffer.
+    transformed, one entry at a time: entry ``(a, b)`` is term ``l = a`` of
+    row ``m = b`` of the row divergence and term ``l = b`` of row ``a``.
+    Row-major order over the triangle adds the terms of every row in order
+    of ``l``, as ``_div_hat`` sums them, while one product field is held at
+    a time.  :func:`_leray_hat` projects the result.
     """
     dim = ws.grid.dimension
-    upper = np.triu_indices(dim)
-    row = np.empty((dim, dim), dtype=int)
-    row[upper] = row.T[upper] = np.arange(upper[0].size)
-    products = np.empty((upper[0].size,) + u.shape[1:])
-    for j, (a, b) in enumerate(zip(*upper)):
-        np.multiply(u[a], u[b], out=products[j])
-    products = ws.forward(products)  # frees the products once transformed
     ik = [1j * k for k in ws.k_deriv]
     out = np.empty((dim,) + ws.k2.shape, dtype=complex)
-    for m in range(dim):
-        np.multiply(ik[0], products[row[0, m]], out=out[m])
-        for l in range(1, dim):
-            out[m] += ik[l] * products[row[l, m]]
+    product = np.empty(u.shape[1:])
+    for a in range(dim):
+        for b in range(a, dim):
+            np.multiply(u[a], u[b] if v is None else v[b], out=product)
+            if v is not None:
+                product += u[b] * v[a]
+            hat = ws.forward(product)
+            for l, m in {(a, b), (b, a)}:
+                if l == 0:
+                    np.multiply(ik[0], hat, out=out[m])
+                else:
+                    out[m] += ik[l] * hat
     return _leray_hat(out, ws)
-
-
-def _parseval_weights(ws: SpectralWorkspace) -> np.ndarray:
-    w = np.full(ws.k2.shape, 2.0)
-    w[..., 0] = 1.0
-    if ws.grid.resolution[-1] % 2 == 0:
-        w[..., -1] = 1.0
-    return w
 
 
 def _relative_divergence_hat(hats: np.ndarray, ws: SpectralWorkspace) -> float:
     """Divergence content of a vector spectrum relative to its gradient content."""
-    w = _parseval_weights(ws)
+    w = ws.parseval
     num = np.sum(w * np.abs(_k_dot(hats, ws)) ** 2)
     den = np.sum(w * ws.k2_deriv * sum(np.abs(h) ** 2 for h in hats))
     if den == 0.0:

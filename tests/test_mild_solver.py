@@ -1,8 +1,7 @@
 import sys
 import threading
 import time
-import weakref
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import pytest
@@ -138,6 +137,36 @@ def taylor_green_history(grid, tg):
         m = 1.0 + 0.5 * np.cos(1.3 * t)
         for c in range(3):
             data[i, c] = m * u[c]
+    return SpaceTimeField(data, tg, grid)
+
+
+def divfree_history(grid, tg, rng):
+    """A trial field of the operator constant, drawn as one stack: seeded
+    transverse plane waves, each with a smooth time modulation."""
+    coords = grid.coords()
+    data = np.zeros((tg.steps + 1, grid.dimension) + grid.shape)
+    for _ in range(2):
+        while True:
+            n = rng.integers(-2, 3, size=grid.dimension)
+            if np.any(n != 0):
+                break
+        e = rng.standard_normal(grid.dimension)
+        nf = n.astype(float)
+        e = e - nf * (nf @ e) / (nf @ nf)
+        if np.linalg.norm(e) < 1e-8:
+            e = np.roll(nf, 1) - nf * (nf @ np.roll(nf, 1)) / (nf @ nf)
+        e = e / np.linalg.norm(e)
+        amp = rng.uniform(0.3, 1.0)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        arg = sum(2.0 * np.pi * n[a] * (coords[a] - grid.origin[a]) / grid.extents[a]
+                  for a in range(grid.dimension))
+        wave = amp * np.cos(arg + phase)
+        omega = rng.uniform(0.0, 2.0 * np.pi)
+        psi = rng.uniform(0.0, 2.0 * np.pi)
+        mod = 1.0 + 0.5 * np.cos(omega * tg.nodes + psi)
+        for i in range(tg.steps + 1):
+            for m in range(grid.dimension):
+                data[i, m] += mod[i] * e[m] * wave
     return SpaceTimeField(data, tg, grid)
 
 
@@ -475,6 +504,62 @@ class TestOperatorConstant:
         cc = estimate_bilinear_constant("thm1", pc, None, tgc, make_workspace(gc), seed=1)
         cf = estimate_bilinear_constant("thm1", pf, None, tgf, make_workspace(gf), seed=1)
         assert abs(cf - cc) <= 0.15 * cc
+
+    @pytest.mark.parametrize("regime", ["thm1", "thm2"])
+    def test_each_trial_ratio_matches_the_stacked_transport(self, regime):
+        # each trial's frames are those of the stacked draw bit for bit, and
+        # its ratio is that of bilinear_term on the stack
+        g, tg = torus(8), TimeGrid(1.0, 12)
+        ws = make_workspace(g)
+        if regime == "thm1":
+            p, q = make_exponent("radial-log", (2.5, 0.5), g), None
+        else:
+            pg = GridSpec(1, (tg.T,), (tg.steps,), TRUNCATED, (0.0,))
+            p, q = exponent_from_samples(3.0 + np.sin(pg.axis_coords(0)) ** 2, pg), 10.0
+
+        def norm(v):
+            if regime == "thm1":
+                return norm_E_thm1(v, p).value
+            return norm_E_thm2(v, p, q).value
+
+        got = list(mild_solver._trial_ratios(regime, p, q, tg, ws, 4, 7, 3.0, 1e-8))
+        rng, draws = np.random.default_rng(7), np.random.default_rng(7)
+        want = []
+        for _ in range(4):
+            u = divfree_history(g, tg, rng)
+            modes = mild_solver._trial_modes(g, tg, draws)
+            for i in range(tg.steps + 1):
+                assert mild_solver._trial_frame(modes, i, g).tobytes() == u.data[i].tobytes()
+            want.append(norm(bilinear_term(u, ws)) / norm(u) ** 2)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert estimate_bilinear_constant(regime, p, q, tg, ws, trials=4, seed=7) == max(got)
+
+    def test_three_transport_spectra_per_trial_and_no_history(self, monkeypatch):
+        import tracemalloc
+        g, tg = torus(16), TimeGrid(1.0, 64)
+        ws = make_workspace(g)
+        p = make_exponent("radial-log", (2.5, 0.5), g)
+        stack = 8 * (tg.steps + 1) * 3 * 16**3
+        transport = mild_solver._transport_hat
+        calls = []
+
+        def counting(u, ws, v=None):
+            calls.append(v is not None)
+            return transport(u, ws, v)
+
+        def no_helper(*args, **kwargs):
+            raise AssertionError("the estimate started a helper thread")
+
+        monkeypatch.setattr(mild_solver, "_transport_hat", counting)
+        monkeypatch.setattr(mild_solver, "ThreadPoolExecutor", no_helper)
+        tracemalloc.start()
+        try:
+            estimate_bilinear_constant("thm1", p, None, tg, ws, trials=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(calls) == [False] * 6 + [True] * 3  # 2 diagonal, 1 cross per trial
+        assert peak < 0.5 * stack, peak / stack
 
     def test_bad_trial_count_rejected(self):
         g = torus(8)
@@ -823,21 +908,32 @@ class TestTransportPipeline:
     @pytest.mark.parametrize("force", [None, "sampled"])
     def test_prefetched_stream_matches_the_serial_spectra(self, force):
         # each node is handed out, then written over as a sweep does; each
-        # stream runs twice, as picard_solve reuses its stream every sweep
+        # stream runs twice, as picard_solve reuses its stream every sweep.
+        # A sampled force streams first, once stored as picard_solve keeps it
+        # and once not, as the gate and initial_term use it
         g, tg = torus(8), TimeGrid(1.0, 8)
         ws = make_workspace(g)
-        force_at = None
-        if force is not None:
-            force_at = mild_solver._force_at_nodes(modulated_force(g, tg), tg, ws)
-
-        def serial(u):
-            b = [mild_solver._transport_hat(u[i], ws) for i in range(len(u))]
-            return b, [-x if force_at is None else force_at(i) - x for i, x in enumerate(b)]
-
         u = taylor_green_history(g, tg).data.copy()
         with ThreadPoolExecutor(max_workers=1) as pool:
+            force_at = None
+            if force is not None:
+                sampled = modulated_force(g, tg)
+                hats = np.empty((tg.steps + 1, 3) + ws.k2.shape, dtype=complex)
+                streams = (mild_solver._force_at_nodes(sampled, tg, ws, pool),
+                           mild_solver._force_at_nodes(sampled, tg, ws, pool, hats))
+                for i in range(tg.steps + 1):
+                    want = ws.forward(sampled.data[i]).tobytes()
+                    assert all(hat(i).tobytes() == want for hat in streams)
+                    assert hats[i].tobytes() == want
+                force_at = hats.__getitem__
+
+            def serial(u):
+                b = [mild_solver._transport_hat(u[i], ws) for i in range(len(u))]
+                return b, [-x if force_at is None else force_at(i) - x for i, x in enumerate(b)]
+
             streams = (mild_solver._transport_at_nodes(u, ws, pool),
-                       mild_solver._iterate_at_nodes(u, force_at, ws, pool))
+                       mild_solver._ahead(mild_solver._iterate_hat(u, force_at, ws),
+                                          len(u), pool))
             for _ in range(2):
                 for k, hat in enumerate(streams):
                     want = serial(u.copy())[k]
@@ -845,9 +941,38 @@ class TestTransportPipeline:
                         assert hat(i).tobytes() == want[i].tobytes()
                         u[i] = 0.9 * u[i] + 0.1
 
+    def test_nodes_the_caller_forms_ahead_keep_the_bits(self, monkeypatch):
+        # a helper that dawdles before each job: the caller finds the node it
+        # needs still in progress and forms later nodes itself meanwhile
+        g, tg = torus(8), TimeGrid(1.0, 16)
+        ws = make_workspace(g)
+        u = taylor_green_history(g, tg).data
+        transport = mild_solver._transport_hat
+        main, formed = threading.get_ident(), []
+
+        def dawdling(frame, ws):
+            if threading.get_ident() != main:
+                time.sleep(0.02)
+            hat = transport(frame, ws)
+            node = (frame.ctypes.data - frame.base.ctypes.data) // frame.nbytes
+            formed.append((node, threading.get_ident() == main))
+            return hat
+
+        want = [transport(u[i], ws).tobytes() for i in range(tg.steps + 1)]
+        monkeypatch.setattr(mild_solver, "_transport_hat", dawdling)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            hat = mild_solver._transport_at_nodes(u, ws, pool)
+            got = [hat(i).tobytes() for i in range(tg.steps + 1)]
+        assert got == want
+        # every node formed once, the caller's in order and more than node 0
+        assert sorted(node for node, _ in formed) == list(range(tg.steps + 1))
+        mine = [node for node, by_caller in formed if by_caller]
+        assert mine == sorted(mine) and len(mine) >= 3
+
     def test_helper_jobs_keep_the_callers_error_state(self, monkeypatch):
-        # after each node is handed out, wait until the helper has started the
-        # next one, so every node past 0 runs on the helper
+        # after each node is handed out, wait until the helper has formed the
+        # next one, so the caller never forms a node ahead of its turn and
+        # every node past 0 runs on the helper
         g, tg = torus(8), TimeGrid(1.0, 4)
         ws = make_workspace(g)
         u = taylor_green_history(g, tg).data
@@ -856,8 +981,9 @@ class TestTransportPipeline:
 
         def recording(frame, ws):
             node = (frame.ctypes.data - frame.base.ctypes.data) // frame.nbytes
+            hat = transport(frame, ws)
             seen[node] = (threading.get_ident(), np.geterr())
-            return transport(frame, ws)
+            return hat
 
         monkeypatch.setattr(mild_solver, "_transport_hat", recording)
         with ThreadPoolExecutor(max_workers=1) as pool, np.errstate(all="raise"):
@@ -871,46 +997,43 @@ class TestTransportPipeline:
         assert all(seen[i][0] != threading.get_ident() for i in range(1, tg.steps + 1))
         assert all(set(err.values()) == {"raise"} for _, err in seen.values())
 
-    def test_each_trial_is_drawn_with_the_last_one_released(self, monkeypatch):
-        # a starved helper: its jobs stay queued until the pool exits, so each
-        # job cancelled for the calling thread keeps its frame of the trial's
-        # stack alive as long as the pool lives
-        class Starved:
-            def __init__(self, max_workers):
-                self.queued = []
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                for future, fn, args in self.queued:
-                    if future.set_running_or_notify_cancel():
-                        future.set_result(fn(*args))
-                self.queued.clear()
-
+    @pytest.mark.parametrize("caller", ["initial_term", "smallness_check", "picard_solve"])
+    def test_a_divergent_force_node_surfaces_from_the_helper(self, monkeypatch, caller):
+        # each job finishes on the helper before it is handed out, so the
+        # caller forms node 0 only and every later node is checked on the helper
+        class Eager(ThreadPoolExecutor):
             def submit(self, fn, *args):
-                future = Future()
-                self.queued.append((future, fn, args))
+                future = super().submit(fn, *args)
+                wait([future])
                 return future
 
         g, tg = torus(8), TimeGrid(1.0, 8)
-        ws = make_workspace(g)
-        p = make_exponent("radial-log", (2.5, 0.5), g)
-        want = estimate_bilinear_constant("thm1", p, None, tg, ws)
-        draw = mild_solver._random_divfree_history
-        stacks, alive = [], []
+        X = g.coords()
+        data = modulated_force(g, tg).data
+        data[5, 0] += 0.01 * np.broadcast_to(np.cos(X[0]), g.shape)  # div != 0 at node 5
+        cfg = thm2_config(g, tg, amplitude=0.3, force=SpaceTimeField(data, tg, g))
+        check = mild_solver._check_force
+        failed = []
 
-        def drawing(*args, **kwargs):
-            alive.append(sum(ref() is not None for ref in stacks))
-            u = draw(*args, **kwargs)
-            stacks.append(weakref.ref(u.data))
-            return u
+        def checking(hat, what, ws):
+            try:
+                check(hat, what, ws)
+            except ForceDivergenceError:
+                failed.append(threading.get_ident())
+                raise
 
-        monkeypatch.setattr(mild_solver, "ThreadPoolExecutor", Starved)
-        monkeypatch.setattr(mild_solver, "_random_divfree_history", drawing)
-        c_b = estimate_bilinear_constant("thm1", p, None, tg, ws)
-        assert alive == [0, 0, 0]
-        assert c_b == want
+        monkeypatch.setattr(mild_solver, "ThreadPoolExecutor", Eager)
+        monkeypatch.setattr(mild_solver, "_check_force", checking)
+        before = threading.active_count()
+        with pytest.raises(ForceDivergenceError, match="sampled force"):
+            if caller == "initial_term":
+                initial_term(cfg.u0, cfg.force_spec, tg, make_workspace(g))
+            elif caller == "smallness_check":
+                smallness_check(cfg, 0.05)
+            else:
+                picard_solve(cfg, c_b=0.05)
+        assert len(failed) == 1 and failed[0] != threading.get_ident()
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("caller", ["bilinear_term", "estimate_bilinear_constant",
                                         "picard_solve"])
@@ -919,15 +1042,20 @@ class TestTransportPipeline:
         ws = make_workspace(g)
         transport = mild_solver._transport_hat
 
-        def failing(frame, ws):
-            # frames are node views u[i] of a stack, so the offset names the node
-            if frame.ctypes.data - frame.base.ctypes.data == 3 * frame.nbytes:
+        def failing(frame, ws, v=None):
+            # a c_B trial fails at its cross-mode spectrum; a history's frames
+            # are node views u[i] of a stack, so the offset names node 3
+            if v is not None:
+                raise ArithmeticError("transport failed at a cross-mode spectrum")
+            if frame.base is not None and (
+                    frame.ctypes.data - frame.base.ctypes.data == 3 * frame.nbytes):
                 raise ArithmeticError("transport failed at node 3")
             return transport(frame, ws)
 
         monkeypatch.setattr(mild_solver, "_transport_hat", failing)
         before = threading.active_count()
-        with pytest.raises(ArithmeticError, match="node 3"):
+        where = "cross-mode" if caller == "estimate_bilinear_constant" else "node 3"
+        with pytest.raises(ArithmeticError, match=where):
             if caller == "bilinear_term":
                 mild_solver.bilinear_term(taylor_green_history(g, tg), ws)
             elif caller == "estimate_bilinear_constant":
