@@ -14,8 +14,9 @@ checked, finite numpy array whose ``rank`` component axes of length
 one check and one arithmetic, and are siblings, not subtypes of one
 another.  Vector and tensor fields hand out per-component
 :class:`ScalarField` views of their array.  A :class:`SpaceTimeField`
-stacks a vector field per time node and passes the same check.  All
-containers are immutable value objects.
+stacks a vector field per time node and passes the same check; a
+:class:`SeparableField` holds one per mode, each with a sampled time
+modulation.  All containers are immutable value objects.
 """
 from __future__ import annotations
 
@@ -295,6 +296,58 @@ class SpaceTimeField:
         if self.tg != other.tg:
             raise GridMismatchError("space-time fields have different time grids")
         require_same_grid(self, other)
+
+
+@dataclass(frozen=True)
+class SeparableField:
+    """Vector field ``sum_j m_j(t) V_j(x)`` on the nodes of a time grid.
+
+    ``modes`` holds ``(V_j, m_j)`` pairs, each a :class:`VectorField` and
+    its modulation, one finite sample per node of ``tg``, all on one grid.
+    """
+
+    modes: tuple[tuple[VectorField, np.ndarray], ...]
+    tg: TimeGrid
+
+    def __post_init__(self):
+        if not self.modes:
+            raise ValueError("a separable field needs at least one mode")
+        if not all(isinstance(field, VectorField) for field, _ in self.modes):
+            raise TypeError("every mode's field must be a VectorField")
+        checked = []
+        for field, modulation in self.modes:
+            require_same_grid(field, self.modes[0][0])
+            _check_values(field.values, field.grid, "mode field", (field.grid.dimension,))
+            m = np.array(modulation, dtype=float)
+            if m.shape != (self.tg.steps + 1,):
+                raise ValueError(f"a modulation needs {self.tg.steps + 1} node samples, "
+                                 f"got shape {m.shape}")
+            if not np.isfinite(m).all():
+                raise FieldNotFiniteError("modulation contains non-finite values")
+            m.flags.writeable = False
+            checked.append((field, m))
+        object.__setattr__(self, "modes", tuple(checked))
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.modes[0][0].grid
+
+    def frame(self, i: int, parts=None) -> np.ndarray:
+        """Node ``i``, ``sum_j m_j[i] V_j``, or ``sum_j m_j[i] parts[j]``."""
+        if parts is None:
+            parts = [field.values for field, _ in self.modes]
+        out = self.modes[0][1][i] * parts[0]
+        for (_, m), part in zip(self.modes[1:], parts[1:]):
+            out += m[i] * part
+        return out
+
+    @property
+    def data(self) -> np.ndarray:
+        """Every node's frame in one ``(steps + 1, dim, *grid)`` stack."""
+        out = np.empty((self.tg.steps + 1,) + self.modes[0][0].values.shape)
+        for i in range(self.tg.steps + 1):
+            out[i] = self.frame(i)
+        return out
 
 
 def require_same_grid(*objects, grid: GridSpec | None = None):

@@ -15,13 +15,14 @@ from ..fields import (
     PERIODIC,
     TRUNCATED,
     GridSpec,
-    SpaceTimeField,
+    SeparableField,
     TimeGrid,
     VectorField,
     as_count,
     require_same_grid,
 )
 from ..mild_solver import SolverConfig
+from ..operators import make_workspace, tensor_divergence
 from .campaigns import CampaignConfig, _grid_ladder, default_campaign_config
 from .corpus import antisymmetric_tensor_field, generate_corpus
 from .fieldfile import read_field
@@ -84,23 +85,24 @@ def _initial_field_from_doc(doc: dict, grid: GridSpec) -> VectorField:
     return element * float(doc.get("amplitude", 1.0))
 
 
-def _force_from_doc(doc, grid: GridSpec, tg: TimeGrid):
+def _force_from_doc(doc, grid: GridSpec, tg: TimeGrid) -> SeparableField | None:
+    """One force mode: a seeded antisymmetric tensor's steady row divergence,
+    or a seeded divergence-free field times ``amplitude * cos(omega * t)``."""
     if doc is None:
         return None
     kind = doc.get("kind")
     amplitude = float(doc.get("amplitude", 1.0))
     seed = as_count(doc.get("seed", 0), "seed")
     if kind == "antisymmetric-tensor":
-        return antisymmetric_tensor_field(grid, seed, amplitude)
+        tensor = antisymmetric_tensor_field(grid, seed, amplitude)
+        return SeparableField(((tensor_divergence(tensor, make_workspace(grid)),
+                                np.ones(tg.steps + 1)),), tg)
     if kind == "modulated-divergence-free":
         omega = float(doc.get("omega", 1.0))
         shape_field = generate_corpus("divergence-free", 1, grid, seed)[0]
-        data = np.empty((tg.steps + 1, grid.dimension) + grid.shape)
-        for i, t in enumerate(tg.nodes):
-            factor = amplitude * np.cos(omega * t)
-            for m in range(grid.dimension):
-                data[i, m] = factor * shape_field.components[m].values
-        return SpaceTimeField(data, tg, grid)
+        # one scalar factor per node, so no array loop's rounding enters
+        modulation = [amplitude * np.cos(omega * t) for t in tg.nodes]
+        return SeparableField(((shape_field, modulation),), tg)
     raise ValueError(f"unknown force kind {kind!r}")
 
 

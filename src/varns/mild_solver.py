@@ -14,6 +14,13 @@ transforms, divergence, Leray projection and transport spectrum) comes from
 iterate) is a stream of its one recurrence,
 :func:`~varns.operators.duhamel_frames`.
 
+A forcing is a :class:`~varns.fields.SeparableField`, a sum of modes
+``m_j(t) F_j(x)``: each ``F_j`` is transformed once, and node ``i``'s
+spectrum ``sum_j m_j(t_i) F^_j`` is checked for divergence before the first
+inverse transform (:func:`_force_at_nodes`).  The ``c_B`` trials are
+two-mode separable fields, and the transport spectrum is bilinear, so three
+spectra ``T(V_j, V_k)`` give a trial's at every node (:func:`_trial_ratios`).
+
 A solve holds one space-time stack.  ``B(u)`` is causal, so each iterate is
 one sweep over the nodes: the transport spectrum of ``u[i]`` and the force
 spectrum advance one Duhamel accumulator that also carries the data's heat
@@ -23,28 +30,17 @@ sweep without transport, and the residual a sweep that does not write.
 Every sweep starts from the data's frame, so node 0's iterate spectrum is
 formed once per solve.
 
-Every forcing stream is a two-stage pipeline on one helper thread
-(:func:`_ahead`).  A node's forcing spectrum never reads the accumulator:
-the sampled force of node ``k`` is its own frame, and the iterate's
-``force(k) - P div(u (x) u)`` reads only the old ``u[k]``, which the
-calling thread overwrites only after node ``k`` is handed out.  So the
-helper forms the next nodes while the calling thread advances the
-accumulator, inverts, checks and measures node ``i`` and writes ``u[i]``;
-after the last sweep it forward-transforms the frames of the solution while
-the calling thread measures the divergence of each.  A node the helper has
-not started when it is needed is formed by the calling thread, and so is
-the next free node while the calling thread would otherwise wait for the
-helper.  Either thread computes a node with the same arithmetic, so every
-output is bit for bit that of a serial sweep.  The helper belongs to the
-call that streams (:func:`picard_solve`, :func:`smallness_check`,
-:func:`initial_term` or :func:`bilinear_term`) and is shut down when that
-call returns or raises.  ``VARNS_THREADS`` still sets the FFT workers of
-each transform.
-
-The operator constant ``c_B`` needs no helper and no history.  A trial
-field is a sum of two time-separable modes ``m_j(t) V_j(x)``, and the
-transport spectrum is bilinear, so three spectra ``T(V_j, V_k)`` give it at
-every node (:func:`_trial_ratios`).
+A sweep's iterate forcing ``force(k) - P div(u (x) u)`` never reads the
+accumulator and reads only the old ``u[k]``, which the calling thread
+overwrites only after node ``k`` is handed out.  So one helper thread forms
+the next nodes while the calling thread accumulates, inverts, checks,
+measures and writes (:func:`_ahead`), and after the last sweep it transforms
+the solution's frames while the calling thread measures their divergence.
+Either thread forms a node with the same arithmetic, so every output is bit
+for bit that of a serial sweep.  The helper lives for one call of
+:func:`picard_solve` or :func:`bilinear_term`; the ``e0`` streams of
+:func:`initial_term` and :func:`smallness_check` have no transport and need
+none.  ``VARNS_THREADS`` sets the FFT workers of each transform.
 
 The ``thm2`` gate also scans shorter horizons.  ``e0`` is causal, so on
 ``[0, t_k]`` it is the first ``k`` time cells of the one stream the gate
@@ -58,6 +54,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -67,15 +64,15 @@ from .fields import (
     TRUNCATED,
     GridSpec,
     ScalarField,
+    SeparableField,
     SpaceTimeField,
-    TensorField,
     TimeGrid,
     VectorField,
     as_count,
 )
 from .operators import (
     SpectralWorkspace,
-    _div_hat,
+    _k_dot,
     _relative_divergence_hat,
     _transport_hat,
     duhamel_accumulate,
@@ -119,16 +116,11 @@ def _check_time_exponent(p: ExponentField, tg: TimeGrid) -> None:
 
 
 def _check_force_spec(force_spec, grid: GridSpec, tg: TimeGrid) -> None:
-    """A forcing is ``None``, a tensor on ``grid``, or a history sampled on
-    ``grid`` at the nodes of ``tg``."""
-    if isinstance(force_spec, TensorField):
-        if force_spec.grid != grid:
-            raise ValueError("tensor force must live on the flow grid")
-    elif isinstance(force_spec, SpaceTimeField):
-        if force_spec.grid != grid or force_spec.tg != tg:
-            raise ValueError("sampled force must share the flow grid and time grid")
-    elif force_spec is not None:
-        raise TypeError(f"unsupported force specification {type(force_spec)!r}")
+    """A forcing is ``None`` or a separable field on ``grid`` and ``tg``."""
+    if force_spec is not None and not isinstance(force_spec, SeparableField):
+        raise TypeError(f"a force must be a SeparableField, got {type(force_spec)!r}")
+    if force_spec is not None and (force_spec.grid != grid or force_spec.tg != tg):
+        raise ValueError("the force must share the flow grid and time grid")
 
 
 @dataclass(frozen=True)
@@ -141,8 +133,8 @@ class SolverConfig:
     construction.  ``tol_norm`` is the relative tolerance of every
     Luxemburg norm the run takes.  A config whose solve would not fit in
     physical RAM is refused: the solve holds one float64
-    ``(steps + 1, 3, *grid)`` stack, plus the complex spectra of a sampled
-    force.
+    ``(steps + 1, 3, *grid)`` stack.  ``force_spec`` is ``None`` or a
+    :class:`~varns.fields.SeparableField` on the flow grid and ``tg``.
     """
 
     regime: str
@@ -153,7 +145,7 @@ class SolverConfig:
     max_iters: int
     tol_norm: float
     u0: VectorField
-    force_spec: TensorField | SpaceTimeField | None
+    force_spec: SeparableField | None
     tg: TimeGrid
 
     def __post_init__(self):
@@ -180,19 +172,14 @@ class SolverConfig:
         object.__setattr__(self, "u0", leray_project(self.u0, ws))
 
     def _check_memory(self):
-        grid, nodes = self.u0.grid, self.tg.steps + 1
-        stack = 8 * nodes * 3 * math.prod(grid.shape)
-        spectra = 0
-        if isinstance(self.force_spec, SpaceTimeField):
-            half = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
-            spectra = 16 * nodes * 3 * math.prod(half)
+        grid = self.u0.grid
+        stack = 8 * (self.tg.steps + 1) * 3 * math.prod(grid.shape)
         ram = _physical_ram()
-        if ram is not None and stack + spectra > ram:
+        if ram is not None and stack > ram:
             raise ValueError(
                 f"a solve on the {grid.shape} grid with {self.tg.steps} time steps "
-                f"needs about {stack + spectra} bytes (a space-time stack of {stack} "
-                f"bytes and {spectra} bytes of force spectra), more than the {ram} "
-                f"bytes of RAM available")
+                f"needs a space-time stack of about {stack} bytes, more than the "
+                f"{ram} bytes of RAM available")
 
     def _check_thm2_exponents(self):
         p, q = self.p, self.q
@@ -248,67 +235,54 @@ class SolverResult:
 
 def initial_term(u0: VectorField, force_spec, tg: TimeGrid,
                  ws: SpectralWorkspace) -> SpaceTimeField:
-    """Heat flow of the data plus the accumulated forcing history.
+    """Heat flow of the data plus the accumulated forcing.
 
-    The forcing may be ``None``, a static tensor whose row divergence is
-    the force, or a sampled space-time history.  Either way the resulting
-    force must be divergence-free to ``1e-8`` relative or the call fails.
-    A static force is transformed once and a sampled one once per node,
-    ahead of the caller on a helper thread, and each node costs one inverse
-    transform (:func:`_e0_frames`).  :func:`smallness_check` and
-    :func:`picard_solve` measure the same frames without storing them.
+    ``force_spec`` is ``None`` or a :class:`~varns.fields.SeparableField`
+    whose sum must be divergence-free to ``1e-8`` relative at every node,
+    or the call fails before any inverse transform.  Each mode is
+    transformed once, and each node costs one inverse transform
+    (:func:`_e0_frames`).  :func:`smallness_check` and :func:`picard_solve`
+    measure the same frames without storing them.
     """
     grid = ws.grid
     if u0.grid != grid:
         raise ValueError("data and workspace grids differ")
     data = np.empty((tg.steps + 1, grid.dimension) + grid.shape)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        for i, frame in enumerate(_e0_frames(u0, force_spec, tg, ws, pool)):
-            data[i] = frame
+    for i, frame in enumerate(_e0_frames(u0, force_spec, tg, ws)):
+        data[i] = frame
     return SpaceTimeField(data, tg, grid)
 
 
-def _e0_frames(u0: VectorField, force_spec, tg: TimeGrid, ws: SpectralWorkspace,
-               pool: ThreadPoolExecutor):
-    """Node frames of ``e0``: the data's spectrum starts the Duhamel
-    accumulator of the checked force, whose one-step decay carries the
-    data's heat flow, so each node costs one inverse transform.  The force
-    spectra come from :func:`_force_at_nodes`."""
-    force = _force_at_nodes(force_spec, tg, ws, pool)
-    return duhamel_frames(force, tg, ws, ws.forward(u0.values))
+def _e0_frames(u0: VectorField, force_spec, tg: TimeGrid, ws: SpectralWorkspace):
+    """Node frames of ``e0``: the checked force's Duhamel accumulator,
+    started from the data's spectrum, one inverse transform per node."""
+    return duhamel_frames(_force_at_nodes(force_spec, tg, ws), tg, ws, ws.forward(u0.values))
 
 
-def _check_force(hat: np.ndarray, what: str, ws: SpectralWorkspace) -> None:
-    defect = _relative_divergence_hat(hat, ws)
-    if defect > _DIV_TOL:
-        raise ForceDivergenceError(f"{what} has relative divergence {defect:.3e} > {_DIV_TOL}")
+def _force_at_nodes(force_spec, tg: TimeGrid, ws: SpectralWorkspace):
+    """Checked ``hat_at_node`` of a forcing on ``tg``, ``None`` for none.
 
-
-def _force_at_nodes(force_spec, tg: TimeGrid, ws: SpectralWorkspace,
-                    pool: ThreadPoolExecutor, hats: np.ndarray | None = None):
-    """Checked ``hat_at_node`` of a forcing on ``tg``: ``None`` for no
-    forcing, the static spectrum of a tensor's row divergence at every node,
-    or the spectra of a sampled history.  A sampled node is transformed and
-    checked ahead of the caller, mostly on ``pool``'s thread (:func:`_ahead`);
-    with ``hats``, a ``(steps + 1, dim, *half-spectrum)`` array, each
-    spectrum is stored there as it arrives, so later sweeps can read it."""
+    Each mode is transformed once, and node ``i``'s spectrum
+    ``S_i = sum_j m_j[i] F^_j`` is formed afresh when asked for.  Modes may
+    cancel, so every ``S_i`` is checked here, before any inverse transform:
+    ``k . S_i`` is summed pointwise from the modes' own, as in ``S_i``, and
+    the gradient content of ``S_i`` is the modes' Gram form in ``m[i]``.  A
+    divergent node raises :class:`ForceDivergenceError` naming it.
+    """
     _check_force_spec(force_spec, ws.grid, tg)
     if force_spec is None:
         return None
-    if isinstance(force_spec, TensorField):
-        hat = _div_hat(ws.forward(force_spec.values), ws)
-        _check_force(hat, "tensor force", ws)
-        return lambda i: hat
-    frames = force_spec.data
-
-    def node(i: int) -> np.ndarray:
-        hat = ws.forward(frames[i])
-        if hats is not None:
-            hats[i] = hat
-            hat = hats[i]
-        _check_force(hat, "sampled force", ws)
-        return hat
-    return _ahead(node, len(frames), pool)
+    spectra = [ws.forward(field.values) for field, _ in force_spec.modes]
+    w, divergences = ws.parseval, [_k_dot(f, ws) for f in spectra]
+    gram = np.array([[np.sum(w * ws.k2_deriv * (f * g.conj()).real.sum(axis=0))
+                      for g in spectra] for f in spectra])
+    for i, m in enumerate(np.array([mod for _, mod in force_spec.modes]).T):
+        num, den = np.sum(w * np.abs(force_spec.frame(i, divergences)) ** 2), m @ gram @ m
+        defect = math.sqrt(num / den) if den > 0.0 else 0.0
+        if defect > _DIV_TOL:
+            raise ForceDivergenceError(
+                f"the force at node {i} has relative divergence {defect:.3e} > {_DIV_TOL}")
+    return partial(force_spec.frame, parts=spectra)
 
 
 def bilinear_term(u: SpaceTimeField, ws: SpectralWorkspace) -> SpaceTimeField:
@@ -459,19 +433,12 @@ def norm_E_thm2(u: SpaceTimeField, p: ExponentField, q: float,
     return _Trace("thm2", u.grid, u.tg, p, q, tol=tol).feed(u.data).norm()
 
 
-def regime_norm(u: SpaceTimeField, cfg: SolverConfig) -> NormValue:
-    if cfg.regime == "thm1":
-        return norm_E_thm1(u, cfg.p, cfg.frak_p, cfg.tol_norm)
-    return norm_E_thm2(u, cfg.p, cfg.q, cfg.tol_norm)
-
-
-def _trial_modes(grid: GridSpec, tg: TimeGrid,
-                 rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The two seeded modes of a trial field ``u = sum_j m_j(t) e_j w_j(x)``:
-    per mode the time modulation ``m_j`` at the nodes, a unit polarization
-    ``e_j`` transverse to the wave vector, and the plane wave ``w_j``."""
+def _trial_modes(grid: GridSpec, tg: TimeGrid, rng: np.random.Generator) -> SeparableField:
+    """The seeded trial field ``u = sum_j m_j(t) e_j w_j(x)`` of two modes:
+    per mode a unit polarization ``e_j`` transverse to the wave vector, the
+    plane wave ``w_j``, and the time modulation ``m_j`` at the nodes."""
     coords = grid.coords()
-    out = []
+    modes = []
     for _ in range(2):
         while True:
             n = rng.integers(-2, 3, size=grid.dimension)
@@ -490,17 +457,9 @@ def _trial_modes(grid: GridSpec, tg: TimeGrid,
         wave = amp * np.cos(arg + phase)
         omega = rng.uniform(0.0, 2.0 * np.pi)
         psi = rng.uniform(0.0, 2.0 * np.pi)
-        out.append((1.0 + 0.5 * np.cos(omega * tg.nodes + psi), e, wave))
-    return out
-
-
-def _trial_frame(modes, i: int, grid: GridSpec) -> np.ndarray:
-    """Node ``i`` of the trial field of ``modes``."""
-    frame = np.zeros((grid.dimension,) + grid.shape)
-    for mod, e, wave in modes:
-        for m in range(grid.dimension):
-            frame[m] += mod[i] * e[m] * wave
-    return frame
+        modes.append((VectorField(np.multiply.outer(e, wave), grid),
+                      1.0 + 0.5 * np.cos(omega * tg.nodes + psi)))
+    return SeparableField(tuple(modes), tg)
 
 
 def _trial_ratios(regime: str, p: ExponentField, q: float | None, tg: TimeGrid,
@@ -519,16 +478,16 @@ def _trial_ratios(regime: str, p: ExponentField, q: float | None, tg: TimeGrid,
     for _ in range(trials):
         size = _Trace(regime, grid, tg, p, q, frak_p, tol)
         transport = _Trace(regime, grid, tg, p, q, frak_p, tol)
-        modes = _trial_modes(grid, tg, rng)
-        nu = size.feed(_trial_frame(modes, i, grid) for i in range(nodes)).norm().value
-        fields = [np.multiply.outer(e, wave) for _, e, wave in modes]
-        pairs = [(j, k) for j in range(len(modes)) for k in range(j, len(modes))]
+        trial = _trial_modes(grid, tg, rng)
+        nu = size.feed(trial.frame(i) for i in range(nodes)).norm().value
+        fields = [v.values for v, _ in trial.modes]
+        mods = [m for _, m in trial.modes]
+        pairs = [(j, k) for j in range(len(fields)) for k in range(j, len(fields))]
         spectra = [_transport_hat(fields[j], ws, None if j == k else fields[k])
                    for j, k in pairs]
 
         def hat(i: int) -> np.ndarray:
-            return sum(modes[j][0][i] * modes[k][0][i] * g
-                       for (j, k), g in zip(pairs, spectra))
+            return sum(mods[j][i] * mods[k][i] * g for (j, k), g in zip(pairs, spectra))
         nb = transport.feed(duhamel_frames(hat, tg, ws)).norm().value
         yield nb / (nu * nu) if nu > 0 else 0.0
 
@@ -541,10 +500,11 @@ def estimate_bilinear_constant(regime: str, p: ExponentField, q: float | None,
 
     Trial fields are seeded divergence-free plane-wave packets with smooth
     time modulation, so repeated calls are deterministic and more trials
-    can only raise the estimate.  Each trial is measured from its modes
+    can only raise the estimate.  Each trial is a two-mode
+    :class:`~varns.fields.SeparableField` measured from its modes
     (:func:`_trial_ratios`): three transport spectra, and ``u`` and
     ``B(u,u)`` streamed node by node into their norms, so no history is
-    held.
+    held and no helper thread is started.
     """
     trials = as_count(trials, "trials")
     if trials < 1:
@@ -556,10 +516,10 @@ def smallness_check(cfg: SolverConfig, c_b: float) -> SmallnessVerdict:
     """Measure the data size and compare against the contraction threshold.
 
     ``c_b`` must be positive and finite; it is checked before any transform.
-    ``e0`` is streamed node by node into its norm trace, never stored: the
-    force is transformed once, a sampled one node by node ahead of the
-    caller on a helper thread, and the data's spectrum starts the Duhamel
-    accumulator, so each node frame is one inverse transform.
+    ``e0`` is streamed node by node into its norm trace, never stored, on
+    the calling thread alone: each force mode is transformed once, and the
+    data's spectrum starts the Duhamel accumulator, so each node frame is
+    one inverse transform.
 
     For ``thm2`` the shorter horizons ``T' = t_k``, ``k = steps, ..., 2``,
     are scanned as well.  ``e0`` is causal, so on ``[0, t_k]`` it is the
@@ -573,8 +533,7 @@ def smallness_check(cfg: SolverConfig, c_b: float) -> SmallnessVerdict:
     """
     _check_constant(c_b)
     ws = make_workspace(cfg.u0.grid)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        trace = _trace(cfg).feed(_e0_frames(cfg.u0, cfg.force_spec, cfg.tg, ws, pool))
+    trace = _trace(cfg).feed(_e0_frames(cfg.u0, cfg.force_spec, cfg.tg, ws))
     return _smallness(cfg, c_b, trace)
 
 
@@ -626,10 +585,10 @@ def picard_solve(cfg: SolverConfig, c_b: float | None = None, trials: int = 3,
                  override_smallness: bool = False) -> SolverResult:
     """Run the fixed-point iteration until the increments drop below tolerance.
 
-    The solve holds one ``(steps + 1, 3, *grid)`` stack ``u``, plus the
-    spectra of a sampled force, transformed once for ``e0`` and every
-    iterate.  A given ``c_b`` must be positive and finite; when not given,
-    ``c_B`` is estimated before ``u`` is allocated.  ``e0`` is never stored:
+    The solve holds one ``(steps + 1, 3, *grid)`` stack ``u``.  A given
+    ``c_b`` must be positive and finite; when not given, ``c_B`` is
+    estimated before ``u`` is allocated, and so is the force checked, whose
+    node spectra every sweep forms from its modes.  ``e0`` is never stored:
     its frames fill ``u`` and stream into the norm trace that the gate and
     its ``thm2`` ladder read.  Each iterate is one sweep that forms
     ``e0 - B(u)`` at node ``i`` as one spectral sum and one inverse
@@ -637,10 +596,10 @@ def picard_solve(cfg: SolverConfig, c_b: float | None = None, trials: int = 3,
     and overwrites ``u[i]``.  The residual is that sweep without the write.
 
     One helper thread, living for this call only, forms the nodes' forcing
-    spectra ahead of this thread (:func:`_ahead`): the sampled force
-    spectra of ``e0`` (stored as they arrive), then in each sweep the whole
+    spectra ahead of this thread (:func:`_ahead`): in each sweep the whole
     ``force(k) - P div(u[k] (x) u[k])`` from the old ``u[k]``, and last the
     forward transforms of the solution's frames for its divergence defect.
+    ``e0`` has no transport, so its sweep runs on this thread alone.
     This thread advances the accumulator, inverts, checks and measures, and
     forms a node itself when the helper has not started it or is still
     busy with the one it needs.  Every sweep starts from the data's frame,
@@ -659,17 +618,12 @@ def picard_solve(cfg: SolverConfig, c_b: float | None = None, trials: int = 3,
             c_b = 1e-30
     _check_constant(c_b)
     tg, grid = cfg.tg, cfg.u0.grid
+    force = _force_at_nodes(cfg.force_spec, tg, ws)
     u0_hat = ws.forward(cfg.u0.values)
     u = np.zeros((tg.steps + 1, grid.dimension) + grid.shape)
-    hats = None
-    if isinstance(cfg.force_spec, SpaceTimeField):
-        hats = np.empty((tg.steps + 1, grid.dimension) + ws.k2.shape, dtype=complex)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        force = _force_at_nodes(cfg.force_spec, tg, ws, pool, hats)
         size = _trace(cfg)
         _sweep(u, duhamel_frames(force, tg, ws, u0_hat), "the initial term", size=size)
-        if hats is not None:
-            force = hats.__getitem__
         verdict = _smallness(cfg, c_b, size)
         if not verdict.passed and not override_smallness:
             raise SmallnessError(

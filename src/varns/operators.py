@@ -45,7 +45,6 @@ from .fields import (
     TRUNCATED,
     GridSpec,
     ScalarField,
-    SpaceTimeField,
     TensorField,
     TimeGrid,
     VectorField,
@@ -294,15 +293,6 @@ def duhamel_accumulate(hat_at_node, tg: TimeGrid, ws: SpectralWorkspace) -> np.n
     for i, frame in enumerate(duhamel_frames(hat_at_node, tg, ws)):
         out[i] = frame
     return out
-
-
-def duhamel_force(force: SpaceTimeField, tg: TimeGrid, ws: SpectralWorkspace) -> SpaceTimeField:
-    """Heat-propagated time integral of a sampled forcing history."""
-    require_same_grid(force, grid=ws.grid)
-    if force.tg != tg:
-        raise ValueError("force history and time grid disagree")
-    return SpaceTimeField(duhamel_accumulate(lambda i: ws.forward(force.data[i]), tg, ws),
-                          tg, ws.grid)
 
 
 def default_radius_ladder(grid: GridSpec) -> tuple[float, ...]:

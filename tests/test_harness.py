@@ -616,8 +616,10 @@ class TestConfigDocuments:
         cfg = build_solver_config(doc)
         grid = grid_from_doc(doc["grid"])
         direct = antisymmetric_tensor_field(grid, 6, 0.3)
-        assert np.array_equal(cfg.force_spec.components[0][1].values,
-                              direct.components[0][1].values)
+        ((field, modulation),) = cfg.force_spec.modes
+        assert np.array_equal(field.values,
+                              tensor_divergence(direct, make_workspace(grid)).values)
+        assert np.array_equal(modulation, np.ones(cfg.tg.steps + 1))
 
         doc["force"] = {"kind": "modulated-divergence-free", "seed": 6,
                         "amplitude": 0.3, "omega": 2.0}

@@ -1,7 +1,7 @@
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,10 +9,13 @@ import pytest
 from varns import (
     PERIODIC,
     TRUNCATED,
+    FieldNotFiniteError,
     ForceDivergenceError,
+    GridMismatchError,
     GridSpec,
     PicardBlowupError,
     ScalarField,
+    SeparableField,
     SmallnessError,
     SolverConfig,
     SpaceTimeField,
@@ -21,7 +24,7 @@ from varns import (
     VectorField,
     bilinear_term,
     classical_norm,
-    duhamel_force,
+    duhamel_accumulate,
     estimate_bilinear_constant,
     exponent_from_samples,
     heat_convolve,
@@ -35,9 +38,9 @@ from varns import (
     picard_solve,
     relative_divergence,
     smallness_check,
+    tensor_divergence,
 )
 from varns import mild_solver
-from varns.mild_solver import regime_norm
 from varns.operators import SpectralWorkspace
 
 TWO_PI = 2.0 * np.pi
@@ -81,16 +84,38 @@ def thm2_config(grid, tg, amplitude=0.05, q=10.0, force=None, **kw):
     return SolverConfig(**defaults)
 
 
+def regime_norm(u, cfg):
+    """``u``'s norm in the regime of ``cfg``."""
+    if cfg.regime == "thm1":
+        return norm_E_thm1(u, cfg.p, cfg.frak_p, cfg.tol_norm)
+    return norm_E_thm2(u, cfg.p, cfg.q, cfg.tol_norm)
+
+
+def wave_field(grid, *, along, arg):
+    """The vector field ``arg(X)`` in component ``along``, zero elsewhere."""
+    comps = [np.zeros(grid.shape) for _ in range(3)]
+    comps[along] = np.broadcast_to(arg(grid.coords()), grid.shape).copy()
+    return VectorField(comps, grid)
+
+
 def modulated_force(grid, tg, amplitude=0.05):
     """Two transverse waves with different time modulations: divergence-free."""
-    X = grid.coords()
-    a = np.broadcast_to(np.cos(X[0]), grid.shape)
-    b = np.broadcast_to(np.sin(X[0] + X[1]), grid.shape)
-    data = np.zeros((tg.steps + 1, 3) + grid.shape)
-    for i, t in enumerate(tg.nodes):
-        data[i, 1] = amplitude * np.cos(3.0 * t) * a
-        data[i, 2] = amplitude * (1.0 + 0.5 * np.sin(5.0 * t)) * b
-    return SpaceTimeField(data, tg, grid)
+    a = wave_field(grid, along=1, arg=lambda X: np.cos(X[0]))
+    b = wave_field(grid, along=2, arg=lambda X: np.sin(X[0] + X[1]))
+    return SeparableField(((a, amplitude * np.cos(3.0 * tg.nodes)),
+                           (b, amplitude * (1.0 + 0.5 * np.sin(5.0 * tg.nodes)))), tg)
+
+
+def steady_force(field, tg):
+    """``field`` at every node: one mode with modulation 1."""
+    return SeparableField(((field, np.ones(tg.steps + 1)),), tg)
+
+
+def tensor_force(grid, tg, seed, amplitude):
+    """The steady row divergence of a seeded antisymmetric tensor."""
+    from varns.harness import antisymmetric_tensor_field
+    tensor = antisymmetric_tensor_field(grid, seed=seed, amplitude=amplitude)
+    return steady_force(tensor_divergence(tensor, make_workspace(grid)), tg)
 
 
 def prefix_reference(cfg):
@@ -166,17 +191,11 @@ def divfree_history(grid, tg, rng):
         mod = 1.0 + 0.5 * np.cos(omega * tg.nodes + psi)
         for i in range(tg.steps + 1):
             for m in range(grid.dimension):
-                data[i, m] += mod[i] * e[m] * wave
+                data[i, m] += mod[i] * (e[m] * wave)
     return SpaceTimeField(data, tg, grid)
 
 
 NAN = float("nan")
-
-
-def _with_one_nan(force):
-    data = force.data.copy()
-    data[3, 1, 2, 2, 2] = NAN
-    return SpaceTimeField(data, force.tg, force.grid)
 
 
 class TestConfigValidation:
@@ -194,8 +213,9 @@ class TestConfigValidation:
         lambda: smallness_check(thm1_config(torus(8), TimeGrid(1.0, 8)), np.inf),
         lambda: picard_solve(thm2_config(torus(8), TimeGrid(1.0, 8)), c_b=NAN,
                              override_smallness=True),
-        lambda: thm2_config(torus(8), TimeGrid(1.0, 8),
-                            force=_with_one_nan(modulated_force(torus(8), TimeGrid(1.0, 8)))),
+        lambda: thm2_config(torus(8), TimeGrid(1.0, 8), force=SeparableField(
+            ((wave_field(torus(8), along=1, arg=lambda X: np.cos(X[0])),
+              [0.0, 0.1, 0.2, NAN, 0.4, 0.5, 0.6, 0.7, 0.8]),), TimeGrid(1.0, 8))),
     ], ids=["T-nan", "T-inf", "extent-nan", "origin-inf", "frak_p-nan",
             "tol_fixedpoint-nan", "tol_norm-nan", "max_iters-nan", "q-nan", "gate-c_b-nan",
             "gate-c_b-inf", "solve-c_b-nan", "sampled-force-nan"])
@@ -267,15 +287,68 @@ class TestConfigValidation:
             thm2_config(g, tg, p=p, q=30.0)
 
     def test_force_type_checked(self):
-        g = torus(8)
-        with pytest.raises(TypeError):
-            thm1_config(g, TimeGrid(1.0, 8), force=np.zeros((3, 3)))
+        # a force is a separable field: no bare array, tensor or sampled history
+        g, tg = torus(8), TimeGrid(1.0, 8)
+        for force in (np.zeros((3, 3)), TensorField(np.zeros((3, 3) + g.shape), g),
+                      SpaceTimeField(np.zeros((tg.steps + 1, 3) + g.shape), tg, g)):
+            with pytest.raises(TypeError, match="SeparableField"):
+                thm1_config(g, tg, force=force)
+
+    @pytest.mark.parametrize("case", ["no-modes", "grids-differ", "modulation-length",
+                                      "modulation-inf", "field-nan", "field-type",
+                                      "config-time-grid"])
+    def test_a_malformed_separable_force_is_refused(self, case):
+        # a NaN modulation sample is the sampled-force-nan case above
+        g, tg = torus(8), TimeGrid(1.0, 8)
+        wave = wave_field(g, along=1, arg=lambda X: np.cos(X[0]))
+        ones = np.ones(tg.steps + 1)
+        if case == "no-modes":
+            with pytest.raises(ValueError, match="at least one mode"):
+                SeparableField((), tg)
+        elif case == "grids-differ":
+            other = wave_field(torus(12), along=1, arg=lambda X: np.cos(X[0]))
+            with pytest.raises(GridMismatchError):
+                SeparableField(((wave, ones), (other, ones)), tg)
+        elif case == "modulation-length":
+            with pytest.raises(ValueError, match="9 node samples"):
+                SeparableField(((wave, np.ones(tg.steps)),), tg)
+        elif case == "modulation-inf":
+            bad = ones.copy()
+            bad[4] = np.inf
+            with pytest.raises(FieldNotFiniteError, match="modulation"):
+                SeparableField(((wave, ones), (wave, bad)), tg)
+        elif case == "field-nan":
+            # a field whose array was written to after it was checked
+            values = wave.values.copy()
+            field = VectorField(values, g)
+            values[1, 2, 2, 2] = NAN
+            with pytest.raises(FieldNotFiniteError, match="mode field"):
+                SeparableField(((field, ones),), tg)
+        elif case == "field-type":
+            with pytest.raises(TypeError, match="VectorField"):
+                SeparableField(((wave.values, ones),), tg)
+        else:
+            with pytest.raises(ValueError, match="time grid"):
+                thm1_config(g, tg, force=steady_force(wave, TimeGrid(2.0, 8)))
+
+    def test_separable_frames_sum_the_modes(self):
+        g, tg = torus(8), TimeGrid(1.0, 8)
+        force = modulated_force(g, tg, amplitude=0.3)
+        (a, ma), (b, mb) = force.modes
+        data = force.data
+        assert data.shape == (tg.steps + 1, 3) + g.shape
+        for i in range(tg.steps + 1):
+            want = ma[i] * a.values + mb[i] * b.values
+            assert np.array_equal(force.frame(i), want)
+            assert np.array_equal(data[i], want)
+        # the modulations are the force's own, not views of the caller's
+        assert not ma.flags.writeable
 
     def test_oversized_solve_fails_before_allocating(self, monkeypatch):
+        # a force's modes add nothing the size of a stack
         g, tg = torus(8), TimeGrid(1.0, 8)
         stack = 8 * (8 + 1) * 3 * 8**3  # one float64 (steps+1, 3, 8, 8, 8) stack
-        spectra = 16 * (8 + 1) * 3 * 8 * 8 * 5  # complex (steps+1, 3, 8, 8, 5) spectra
-        for force, need in ((None, stack), (modulated_force(g, tg), stack + spectra)):
+        for force, need in ((None, stack), (modulated_force(g, tg), stack)):
             monkeypatch.setattr(mild_solver, "_physical_ram", lambda: need - 1)
             with pytest.raises(ValueError, match=r"\(8, 8, 8\) grid with 8 time steps") as info:
                 thm1_config(g, tg, force=force)
@@ -313,7 +386,7 @@ class TestInitialTerm:
         u0 = single_mode_u0(g)
         const = TensorField(
             [[np.full(g.shape, 0.7) for _ in range(3)] for _ in range(3)], g)
-        with_force = initial_term(u0, const, tg, ws)
+        with_force = initial_term(u0, steady_force(tensor_divergence(const, ws), tg), tg, ws)
         without = initial_term(u0, None, tg, ws)
         assert np.max(np.abs(with_force.data - without.data)) < 1e-14
 
@@ -322,15 +395,11 @@ class TestInitialTerm:
         ws = make_workspace(g)
         tg = TimeGrid(0.5, 10)
         u0 = VectorField.from_arrays([np.zeros(g.shape)] * 3, g)
-        X = g.coords()
-        wave = np.broadcast_to(np.cos(X[0]), g.shape).copy()
-        data = np.zeros((tg.steps + 1, 3) + g.shape)
-        for i, t in enumerate(tg.nodes):
-            data[i, 1] = np.cos(2.0 * t) * wave  # e perp k keeps it solenoidal
-        force = SpaceTimeField(data, tg, g)
+        wave = wave_field(g, along=1, arg=lambda X: np.cos(X[0]))  # e perp k: solenoidal
+        force = SeparableField(((wave, np.cos(2.0 * tg.nodes)),), tg)
         out = initial_term(u0, force, tg, ws)
-        ref = duhamel_force(force, tg, ws)
-        assert np.max(np.abs(out.data - ref.data)) < 1e-14
+        ref = duhamel_accumulate(lambda i: ws.forward(force.frame(i)), tg, ws)
+        assert np.max(np.abs(out.data - ref)) < 1e-14
 
     def test_data_and_sampled_force_add_up(self):
         g = torus(8)
@@ -339,9 +408,9 @@ class TestInitialTerm:
         u0 = two_mode_u0(g, 0.7)
         force = modulated_force(g, tg, amplitude=0.9)
         out = initial_term(u0, force, tg, ws)
-        duh = duhamel_force(force, tg, ws)
+        duh = duhamel_accumulate(lambda i: ws.forward(force.frame(i)), tg, ws)
         for i, t in enumerate(tg.nodes):
-            want = heat_convolve(u0, t, ws).values + duh.data[i]
+            want = heat_convolve(u0, t, ws).values + duh[i]
             assert np.max(np.abs(out.data[i] - want)) < 1e-14
 
     def test_divergent_sampled_force_rejected(self):
@@ -349,12 +418,9 @@ class TestInitialTerm:
         ws = make_workspace(g)
         tg = TimeGrid(0.5, 8)
         u0 = VectorField.from_arrays([np.zeros(g.shape)] * 3, g)
-        X = g.coords()
-        wave = np.broadcast_to(np.cos(X[0]), g.shape).copy()
-        data = np.zeros((tg.steps + 1, 3) + g.shape)
-        data[:, 0] = wave  # gradient direction: div != 0
-        with pytest.raises(ForceDivergenceError):
-            initial_term(u0, SpaceTimeField(data, tg, g), tg, ws)
+        grad = wave_field(g, along=0, arg=lambda X: np.cos(X[0]))  # div != 0
+        with pytest.raises(ForceDivergenceError, match="node 0"):
+            initial_term(u0, steady_force(grad, tg), tg, ws)
 
 
 class TestBilinearTerm:
@@ -527,9 +593,9 @@ class TestOperatorConstant:
         want = []
         for _ in range(4):
             u = divfree_history(g, tg, rng)
-            modes = mild_solver._trial_modes(g, tg, draws)
+            trial = mild_solver._trial_modes(g, tg, draws)
             for i in range(tg.steps + 1):
-                assert mild_solver._trial_frame(modes, i, g).tobytes() == u.data[i].tobytes()
+                assert np.array_equal(trial.frame(i), u.data[i])
             want.append(norm(bilinear_term(u, ws)) / norm(u) ** 2)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         assert estimate_bilinear_constant(regime, p, q, tg, ws, trials=4, seed=7) == max(got)
@@ -684,22 +750,18 @@ class TestSmallnessGate:
     def test_divergent_sampled_force_fails_the_thm2_gate(self):
         g = torus(8)
         tg = TimeGrid(1.0, 16)
-        X = g.coords()
-        data = modulated_force(g, tg).data
-        data[:, 0] += 0.01 * np.broadcast_to(np.cos(X[0]), g.shape)  # div != 0
-        cfg = thm2_config(g, tg, amplitude=0.3, force=SpaceTimeField(data, tg, g))
+        grad = wave_field(g, along=0, arg=lambda X: 0.01 * np.cos(X[0]))  # div != 0
+        force = SeparableField(modulated_force(g, tg).modes + steady_force(grad, tg).modes, tg)
+        cfg = thm2_config(g, tg, amplitude=0.3, force=force)
         with pytest.raises(ForceDivergenceError):
             smallness_check(cfg, 0.05)
 
     def test_ladder_accepts_a_sampled_force(self):
         g = torus(8)
         tg = TimeGrid(1.0, 16)
-        X = g.coords()
-        wave = np.broadcast_to(np.cos(X[0]), g.shape).copy()
-        data = np.zeros((tg.steps + 1, 3) + g.shape)
-        for i, t in enumerate(tg.nodes):
-            data[i, 1] = 0.01 * np.cos(t) * wave
-        cfg = thm2_config(g, tg, amplitude=0.02, force=SpaceTimeField(data, tg, g))
+        wave = wave_field(g, along=1, arg=lambda X: np.cos(X[0]))
+        force = SeparableField(((wave, 0.01 * np.cos(tg.nodes)),), tg)
+        cfg = thm2_config(g, tg, amplitude=0.02, force=force)
         v = smallness_check(cfg, 0.05)
         assert len(v.ladder) == tg.steps - 1
         assert v.passed
@@ -826,10 +888,9 @@ class TestFixedPoint:
         assert np.array_equal(a.final.data, b.final.data)
 
     def test_forced_run_converges(self):
-        from varns.harness import antisymmetric_tensor_field
         g = torus()
         tg = TimeGrid(1.0, 16)
-        force = antisymmetric_tensor_field(g, seed=2, amplitude=0.05)
+        force = tensor_force(g, tg, seed=2, amplitude=0.05)
         cfg = thm1_config(g, tg, u0=two_mode_u0(g, 0.3), force=force)
         res = picard_solve(cfg, seed=0)
         assert res.converged
@@ -858,14 +919,13 @@ def stacked_picard(cfg, c_b):
 class TestStreamedSweep:
     @pytest.mark.parametrize("case", ["thm1", "thm2-sampled-force", "thm2-tensor-force"])
     def test_matches_the_stacked_iteration(self, case):
-        from varns.harness import antisymmetric_tensor_field
         g, tg = torus(12), TimeGrid(1.0, 16)
         if case == "thm1":
             cfg = thm1_config(g, tg, u0=two_mode_u0(g, 0.5))
         elif case == "thm2-sampled-force":
             cfg = thm2_config(g, tg, amplitude=0.3, force=modulated_force(g, tg, 0.5))
         else:
-            force = antisymmetric_tensor_field(g, seed=2, amplitude=0.3)
+            force = tensor_force(g, tg, seed=2, amplitude=0.3)
             cfg = thm2_config(g, tg, amplitude=0.3, force=force)
         c_b = 0.05
         norms, increments, residual, u = stacked_picard(cfg, c_b)
@@ -909,8 +969,8 @@ class TestTransportPipeline:
     def test_prefetched_stream_matches_the_serial_spectra(self, force):
         # each node is handed out, then written over as a sweep does; each
         # stream runs twice, as picard_solve reuses its stream every sweep.
-        # A sampled force streams first, once stored as picard_solve keeps it
-        # and once not, as the gate and initial_term use it
+        # A force's node spectrum is its modes' transforms summed, the same
+        # bits on every call, and its frame's transform up to rounding
         g, tg = torus(8), TimeGrid(1.0, 8)
         ws = make_workspace(g)
         u = taylor_green_history(g, tg).data.copy()
@@ -918,14 +978,12 @@ class TestTransportPipeline:
             force_at = None
             if force is not None:
                 sampled = modulated_force(g, tg)
-                hats = np.empty((tg.steps + 1, 3) + ws.k2.shape, dtype=complex)
-                streams = (mild_solver._force_at_nodes(sampled, tg, ws, pool),
-                           mild_solver._force_at_nodes(sampled, tg, ws, pool, hats))
+                force_at = mild_solver._force_at_nodes(sampled, tg, ws)
                 for i in range(tg.steps + 1):
-                    want = ws.forward(sampled.data[i]).tobytes()
-                    assert all(hat(i).tobytes() == want for hat in streams)
-                    assert hats[i].tobytes() == want
-                force_at = hats.__getitem__
+                    want = ws.forward(sampled.frame(i))
+                    got = force_at(i)
+                    assert got.tobytes() == force_at(i).tobytes()
+                    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
             def serial(u):
                 b = [mild_solver._transport_hat(u[i], ws) for i in range(len(u))]
@@ -998,42 +1056,48 @@ class TestTransportPipeline:
         assert all(set(err.values()) == {"raise"} for _, err in seen.values())
 
     @pytest.mark.parametrize("caller", ["initial_term", "smallness_check", "picard_solve"])
-    def test_a_divergent_force_node_surfaces_from_the_helper(self, monkeypatch, caller):
-        # each job finishes on the helper before it is handed out, so the
-        # caller forms node 0 only and every later node is checked on the helper
-        class Eager(ThreadPoolExecutor):
-            def submit(self, fn, *args):
-                future = super().submit(fn, *args)
-                wait([future])
-                return future
-
+    def test_a_divergent_force_node_fails_before_any_inverse(self, monkeypatch, caller):
+        # two modes whose gradient parts cancel at every node pass; broken at
+        # node 5 alone, the sum is refused there before any inverse transform
+        # and without a helper thread, though each mode is divergent
         g, tg = torus(8), TimeGrid(1.0, 8)
-        X = g.coords()
-        data = modulated_force(g, tg).data
-        data[5, 0] += 0.01 * np.broadcast_to(np.cos(X[0]), g.shape)  # div != 0 at node 5
-        cfg = thm2_config(g, tg, amplitude=0.3, force=SpaceTimeField(data, tg, g))
-        check = mild_solver._check_force
-        failed = []
+        wave = wave_field(g, along=1, arg=lambda X: np.cos(X[0]))
+        grad = wave_field(g, along=0, arg=lambda X: 0.5 * np.cos(X[0]))
+        m = 0.05 * np.cos(3.0 * tg.nodes)
+        broken = m.copy()
+        broken[5] += 0.01
 
-        def checking(hat, what, ws):
-            try:
-                check(hat, what, ws)
-            except ForceDivergenceError:
-                failed.append(threading.get_ident())
-                raise
+        def config(second):
+            force = SeparableField(((wave + grad, m), (wave - grad, second)), tg)
+            return thm2_config(g, tg, amplitude=0.3, force=force)
 
-        monkeypatch.setattr(mild_solver, "ThreadPoolExecutor", Eager)
-        monkeypatch.setattr(mild_solver, "_check_force", checking)
-        before = threading.active_count()
-        with pytest.raises(ForceDivergenceError, match="sampled force"):
+        def call(cfg):
             if caller == "initial_term":
                 initial_term(cfg.u0, cfg.force_spec, tg, make_workspace(g))
             elif caller == "smallness_check":
                 smallness_check(cfg, 0.05)
             else:
                 picard_solve(cfg, c_b=0.05)
-        assert len(failed) == 1 and failed[0] != threading.get_ident()
+
+        call(config(m))
+        cfg = config(broken)  # built first: the config projects its data
+        inverse, inverses = SpectralWorkspace.inverse, []
+
+        def counting(ws, hat):
+            inverses.append(hat.shape)
+            return inverse(ws, hat)
+
+        monkeypatch.setattr(SpectralWorkspace, "inverse", counting)
+        before = threading.active_count()
+        with pytest.raises(ForceDivergenceError, match="node 5 ") as info:
+            call(cfg)
+        assert inverses == []
         assert threading.active_count() == before
+        # the defect is the one relative_divergence reads off node 5's frame
+        monkeypatch.undo()
+        frame = VectorField(cfg.force_spec.frame(5), g)
+        reported = float(str(info.value).split("divergence ")[1].split(" ")[0])
+        assert reported == pytest.approx(relative_divergence(frame, make_workspace(g)), rel=1e-3)
 
     @pytest.mark.parametrize("caller", ["bilinear_term", "estimate_bilinear_constant",
                                         "picard_solve"])

@@ -8,14 +8,15 @@ from varns import (
     GridSpec,
     RadialOrderError,
     ScalarField,
+    SeparableField,
     TimeGrid,
     VectorField,
     default_radius_ladder,
     divergence,
     duhamel_accumulate,
-    duhamel_force,
     grad_heat_kernel_defect,
     heat_convolve,
+    initial_term,
     leray_project,
     make_workspace,
     maximal_function,
@@ -28,7 +29,6 @@ from varns import (
     riesz_potential_stack,
     riesz_transform,
     tensor_divergence,
-    SpaceTimeField,
     TensorField,
 )
 from varns.operators import _transport_hat, duhamel_frames
@@ -294,13 +294,18 @@ class TestHeatFlow:
 
 
 class TestDuhamel:
+    @staticmethod
+    def spectra(data, ws):
+        """``hat_at_node`` of a sampled history: each frame transformed."""
+        return lambda i: ws.forward(data[i])
+
     def test_zero_forcing_accumulates_nothing(self):
         g = torus(8)
         ws = make_workspace(g)
         tg = TimeGrid(1.0, 16)
-        zero = SpaceTimeField(np.zeros((tg.steps + 1, 3) + g.shape), tg, g)
-        out = duhamel_force(zero, tg, ws)
-        assert np.max(np.abs(out.data)) == 0.0
+        zero = np.zeros((tg.steps + 1, 3) + g.shape)
+        out = duhamel_accumulate(self.spectra(zero, ws), tg, ws)
+        assert np.max(np.abs(out)) == 0.0
 
     def test_initial_node_is_zero(self):
         g = torus(8)
@@ -309,26 +314,28 @@ class TestDuhamel:
         data = np.broadcast_to(
             np.stack([smooth_random(g, s).values for s in (1, 2, 3)]),
             (tg.steps + 1, 3) + g.shape).copy()
-        out = duhamel_force(SpaceTimeField(data, tg, g), tg, ws)
-        assert np.max(np.abs(out.data[0])) == 0.0
+        out = duhamel_accumulate(self.spectra(data, ws), tg, ws)
+        assert np.max(np.abs(out[0])) == 0.0
 
     def test_steady_single_mode_matches_closed_form(self):
-        # constant-in-time forcing cos(x0) has |k|^2 = 1, so the integral
-        # is (1 - e^-t) cos(x0) at every node
+        # constant-in-time forcing cos(x0) e_1 has |k|^2 = 1, so the
+        # integral from zero data is (1 - e^-t) cos(x0) e_1 at every node
         g = torus(8)
         ws = make_workspace(g)
         tg = TimeGrid(1.0, 256)
         X = g.coords()
-        frame = np.stack([np.broadcast_to(np.cos(X[0]), g.shape).copy(),
-                          np.zeros(g.shape), np.zeros(g.shape)])
-        data = np.broadcast_to(frame, (tg.steps + 1, 3) + g.shape).copy()
-        out = duhamel_force(SpaceTimeField(data, tg, g), tg, ws)
+        wave = np.broadcast_to(np.cos(X[0]), g.shape).copy()
+        frame = VectorField.from_arrays([np.zeros(g.shape), wave, np.zeros(g.shape)], g)
+        zero = VectorField(np.zeros((3,) + g.shape), g)
+        force = SeparableField(((frame, np.ones(tg.steps + 1)),), tg)
+        out = initial_term(zero, force, tg, ws).data
         worst = 0.0
         for i, t in enumerate(tg.nodes):
-            expected = (1.0 - np.exp(-t)) * frame[0]
-            worst = max(worst, np.max(np.abs(out.data[i, 0] - expected)))
+            expected = (1.0 - np.exp(-t)) * wave
+            worst = max(worst, np.max(np.abs(out[i, 1] - expected)))
         assert worst < 1e-4
-        assert np.max(np.abs(out.data[:, 1:])) < 1e-15
+        assert np.max(np.abs(out[:, 0])) < 1e-15
+        assert np.max(np.abs(out[:, 2])) < 1e-15
 
     def test_linearity(self):
         g = torus(8)
@@ -337,25 +344,30 @@ class TestDuhamel:
         rng = np.random.default_rng(3)
         fa = rng.standard_normal((tg.steps + 1, 3) + g.shape)
         fb = rng.standard_normal((tg.steps + 1, 3) + g.shape)
-        a = duhamel_force(SpaceTimeField(fa, tg, g), tg, ws)
-        b = duhamel_force(SpaceTimeField(fb, tg, g), tg, ws)
-        combo = duhamel_force(SpaceTimeField(2.0 * fa - 0.5 * fb, tg, g), tg, ws)
-        gap = np.max(np.abs(combo.data - (2.0 * a.data - 0.5 * b.data)))
-        assert gap < 1e-12 * max(1.0, np.max(np.abs(combo.data)))
+        a = duhamel_accumulate(self.spectra(fa, ws), tg, ws)
+        b = duhamel_accumulate(self.spectra(fb, ws), tg, ws)
+        combo = duhamel_accumulate(self.spectra(2.0 * fa - 0.5 * fb, ws), tg, ws)
+        gap = np.max(np.abs(combo - (2.0 * a - 0.5 * b)))
+        assert gap < 1e-12 * max(1.0, np.max(np.abs(combo)))
 
     def test_accumulate_and_force_agree(self):
+        # the forced initial term from zero data is the plain accumulation of
+        # the force's frames, bit for bit for a steady one-mode force, whose
+        # node spectra are its field's transform times exactly 1
         g = torus(8)
         ws = make_workspace(g)
         tg = TimeGrid(0.5, 10)
         rng = np.random.default_rng(4)
-        data = rng.standard_normal((tg.steps + 1, 3) + g.shape)
-        force = SpaceTimeField(data, tg, g)
+        field = leray_project(VectorField(rng.standard_normal((3,) + g.shape), g), ws)
+        force = SeparableField(((field, np.ones(tg.steps + 1)),), tg)
 
         def hat(i):
-            return [ws.forward(data[i, m]) for m in range(3)]
+            return [ws.forward(field.values[m]) for m in range(3)]
 
         stack = duhamel_accumulate(hat, tg, ws)
-        assert np.array_equal(stack, duhamel_force(force, tg, ws).data)
+        zero = VectorField(np.zeros((3,) + g.shape), g)
+        assert np.array_equal(stack, initial_term(zero, force, tg, ws).data)
+        assert np.array_equal(stack, duhamel_accumulate(self.spectra(force.data, ws), tg, ws))
 
     def test_each_node_is_read_before_it_is_yielded(self):
         # the solver overwrites its node-i input once node i has been yielded
