@@ -26,9 +26,13 @@ from a few FFT balls and sums the maximal average exactly, shell by shell,
 only at the points that can decide the maximum.  On truncated boxes the field
 is extended by zero and convolved circularly on the smallest fast box whose
 wrap-around lands on the extension only: ``n + reach`` cells per axis, with
-``reach`` the kernel's half-width in cells.  Kernel quadrature (the
-fractional integral) uses midpoint weights off the diagonal and a
-closed-form cell integral on it.
+``reach`` the kernel's half-width in cells, as the kernel's own support
+decides it.  Each kernel gets its own box, so the maximal function groups
+its radii by box and transforms ``|f|`` once per group.  The transforms on
+such a box are pruned: they skip the lines that hold only padding, and
+agree bit for bit with ``rfftn``/``irfftn`` on the whole box.  Kernel
+quadrature (the fractional integral) uses midpoint weights off the diagonal
+and a closed-form cell integral on it.
 """
 from __future__ import annotations
 
@@ -318,29 +322,66 @@ def _stack(values, grid: GridSpec) -> np.ndarray:
     return _check_values(arr, grid, "stack", arr.shape[:max(arr.ndim - grid.dimension, 0)])
 
 
-def _alias_free_transforms(grid: GridSpec, reach):
-    """Forward and inverse real FFTs of a zero-extended stack on the smallest
-    fast box with ``n + reach`` cells per axis.  A kernel reaching ``reach``
-    cells then wraps onto the zero extension only, so the circular
-    convolution equals the linear one on the grid."""
-    box = tuple(sfft.next_fast_len(n + k, real=True) for n, k in zip(grid.resolution, reach))
-    axes = tuple(range(-grid.dimension, 0))
-    crop = (...,) + tuple(slice(0, n) for n in grid.resolution)
+def _fast_box(grid: GridSpec, reach) -> tuple[int, ...]:
+    """Smallest fast real-FFT box with ``n + reach`` cells per axis: a
+    kernel reaching ``reach`` cells then wraps onto the zero extension only,
+    so the circular convolution equals the linear one on the grid."""
+    return tuple(sfft.next_fast_len(n + k, real=True) for n, k in zip(grid.resolution, reach))
+
+
+def _alias_free_transforms(grid: GridSpec, box: tuple[int, ...]):
+    """Forward and inverse real FFTs of a zero-extended stack on ``box``,
+    pruned to skip the zero padding.
+
+    The forward transform runs the last axis over the data lines only, then
+    each other axis in order on its padded length; the inverse runs the
+    other axes in order, cropping each to the grid as soon as it is done,
+    then the last axis, and scales by ``1/N`` once at the end.  Every line
+    that is transformed is transformed exactly as by ``rfftn``/``irfftn``
+    with ``s=box``, and the lines skipped hold zeros, so the results agree
+    with them bit for bit.  A ``box``-shaped input (a kernel) is transformed
+    in full.
+    """
+    d = grid.dimension
     workers = worker_count()
+    # irfftn's scale factor, formed as pocketfft forms it
+    scale = float(1 / np.longdouble(math.prod(box)))
 
     def forward(values):
-        return sfft.rfftn(values, s=box, axes=axes, workers=workers)
+        hat = sfft.rfft(values, n=box[-1], axis=-1, workers=workers)
+        for ax in range(d - 1):
+            hat = sfft.fft(hat, n=box[ax], axis=ax - d, overwrite_x=True, workers=workers)
+        return hat
 
     def inverse(hat):
-        return sfft.irfftn(hat, s=box, axes=axes, workers=workers)[crop]
-    return box, forward, inverse
+        for ax in range(d - 1):
+            hat = sfft.ifft(hat, axis=ax - d, norm="forward", workers=workers)
+            hat = hat[(...,) + (slice(0, grid.resolution[ax]),) + (slice(None),) * (d - 1 - ax)]
+        out = sfft.irfft(hat, n=box[-1], axis=-1, norm="forward", workers=workers)
+        return out[..., :grid.resolution[-1]] * scale
+    return forward, inverse
+
+
+def _ball_reach(r: float, h: float) -> int:
+    """Largest offset ``m`` in cells with ``(m*h)**2 <= r*r``: how far along
+    one axis the ball mask of :func:`maximal_function_stack` reaches.  It is
+    taken from the mask's own comparison, since ``floor(r/h)`` can round
+    one cell short of it."""
+    m = int(r / h) + 1
+    while (m * h) * (m * h) > r * r:
+        m -= 1
+    return m
 
 
 def maximal_function_stack(values, grid: GridSpec, radii) -> np.ndarray:
     """:func:`maximal_function` of every field in a ``(..., *grid.shape)`` stack.
 
-    ``|f|`` is transformed once per field and each ball mask once per call;
-    the inverse transforms run field by field to bound the memory.
+    A radius whose ball holds one cell contributes ``|f|`` itself.  The
+    others are grouped by box: the grid on a torus, and on a truncated box
+    the smallest fast box that keeps each radius's own ball clear of
+    wrap-around.  Per group, largest box first, ``|f|`` is transformed field
+    by field into one spectrum and each ball mask once; the inverse
+    transforms run field by field to bound the memory.
     """
     radii = [float(r) for r in radii]
     if not radii:
@@ -350,25 +391,34 @@ def maximal_function_stack(values, grid: GridSpec, radii) -> np.ndarray:
         if not 0 < r <= rmax * (1 + 1e-12):
             raise ValueError(f"radius {r} outside (0, {rmax}]")
     fa = np.abs(_stack(values, grid))
-    if grid.topology == TRUNCATED:
-        reach = [int(np.floor(max(radii) / h)) for h in grid.spacings]
-        box, forward, inverse = _alias_free_transforms(grid, reach)
-    else:
-        ws = make_workspace(grid)
-        box, forward, inverse = grid.shape, ws.forward, ws.inverse
-    dist2 = _offset_dist2(box, grid.spacings)
-    fhat = forward(fa)
     out = np.zeros(fa.shape)
-    batch = list(np.ndindex(fa.shape[:fa.ndim - grid.dimension]))
+    groups: dict[tuple[int, ...], list[float]] = {}
     for r in radii:
-        mask = (dist2 <= r * r).astype(float)
-        count = int(np.count_nonzero(mask))
-        if count == 1:
+        reach = [_ball_reach(r, h) for h in grid.spacings]
+        if not any(reach):
             np.maximum(out, fa, out=out)
-            continue
-        mask_hat = forward(mask)
-        for i in batch:
-            np.maximum(out[i], inverse(fhat[i] * mask_hat) / count, out=out[i])
+        else:
+            box = _fast_box(grid, reach) if grid.topology == TRUNCATED else grid.shape
+            groups.setdefault(box, []).append(r)
+    lead = fa.shape[:fa.ndim - grid.dimension]
+    for box in sorted(groups, key=math.prod, reverse=True):
+        if grid.topology == TRUNCATED:
+            forward, inverse = _alias_free_transforms(grid, box)
+        else:
+            ws = make_workspace(grid)
+            forward, inverse = ws.forward, ws.inverse
+        fhat = np.empty(lead + box[:-1] + (box[-1] // 2 + 1,), dtype=complex)
+        for i in np.ndindex(lead):
+            fhat[i] = forward(fa[i])
+        dist2 = _offset_dist2(box, grid.spacings)
+        for r in groups[box]:
+            mask = dist2 <= r * r
+            count = int(np.count_nonzero(mask))
+            mask_hat = forward(mask.astype(float))
+            for i in np.ndindex(lead):
+                np.maximum(out[i], inverse(fhat[i] * mask_hat) / count, out=out[i])
+        # free this group's spectrum before the next group allocates its own
+        del fhat
     return out
 
 
@@ -401,7 +451,8 @@ def riesz_potential_stack(values, grid: GridSpec, sigma: float) -> np.ndarray:
     if not 0.0 < sigma < grid.dimension:
         raise ValueError(f"order must lie in (0, {grid.dimension}), got {sigma}")
     fa = np.abs(_stack(values, grid))
-    box, forward, inverse = _alias_free_transforms(grid, [n - 1 for n in grid.resolution])
+    box = _fast_box(grid, [n - 1 for n in grid.resolution])
+    forward, inverse = _alias_free_transforms(grid, box)
     dist2 = _offset_dist2(box, grid.spacings)
     with np.errstate(divide="ignore"):
         kernel = grid.cell_volume * dist2 ** (0.5 * (sigma - grid.dimension))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from scipy.signal import fftconvolve
 
 from varns import (
@@ -31,7 +32,13 @@ from varns import (
     tensor_divergence,
     TensorField,
 )
-from varns.operators import _transport_hat, duhamel_frames
+from varns.operators import (
+    _alias_free_transforms,
+    _ball_reach,
+    _fast_box,
+    _transport_hat,
+    duhamel_frames,
+)
 
 TWO_PI = 2.0 * np.pi
 RIESZ_HALF_AT_TWO = 0.8284271247461903  # 2 (sqrt 2 - 1)
@@ -206,6 +213,30 @@ class TestStackedTransforms:
             for j in range(4):
                 for m in range(3):
                     assert np.array_equal(back[j, m], ws.inverse(hats[j, m]))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("grid", [
+        GridSpec(1, (4.0,), (33,), TRUNCATED, (0.0,)),
+        GridSpec(3, (5.0, 6.0, 4.0), (11, 12, 9), TRUNCATED, (0.0,) * 3),
+    ])
+    def test_pruned_transforms_match_full_ones_bit_for_bit(self, monkeypatch, threads, grid):
+        # the pruned transforms skip only lines of zeros, so they must agree
+        # with rfftn/irfftn on the whole padded box to the last bit
+        monkeypatch.setenv("VARNS_THREADS", threads)
+        rng = np.random.default_rng(17)
+        axes = tuple(range(-grid.dimension, 0))
+        crop = (...,) + tuple(slice(0, n) for n in grid.resolution)
+        for reach in ([n - 1 for n in grid.resolution], [2, 3, 1][:grid.dimension]):
+            box = _fast_box(grid, reach)
+            forward, inverse = _alias_free_transforms(grid, box)
+            stack = rng.standard_normal((2, 3) + grid.shape)
+            want = sfft.rfftn(stack, s=box, axes=axes, workers=int(threads))
+            assert np.array_equal(forward(stack), want)
+            kernel = rng.standard_normal(box)
+            assert np.array_equal(forward(kernel), sfft.rfftn(kernel, axes=axes))
+            hat = want * rng.standard_normal(want.shape[-grid.dimension:])
+            back = sfft.irfftn(hat, s=box, axes=axes, workers=int(threads))[crop]
+            assert np.array_equal(inverse(hat), back)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_real_space_stacks_match_single_fields_bit_for_bit(self, monkeypatch, threads):
@@ -499,6 +530,43 @@ class TestWindowedMaximalAverage:
                 total += padded[tuple(slice(o, o + n) for o, n in zip(off, grid.shape))]
             want = np.maximum(want, total / count)
         got = maximal_function(f, radii).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+    def test_ball_reach_follows_the_mask_not_the_floor(self):
+        # floor(3h/h) rounds to 2 here, but the mask keeps offset 3: with a
+        # box one cell short, the last node's mass wrapped onto node 0
+        g = GridSpec(1, (1.380952380952381,), (8,), TRUNCATED, (0.0,))
+        h = g.spacings[0]
+        assert _ball_reach(3 * h, h) == 3
+        f = np.zeros(g.shape)
+        f[-1] = 1.0
+        out = maximal_function(ScalarField(f, g), (3 * h,)).values
+        assert out[-1] == pytest.approx(1.0 / 7.0, rel=1e-14)
+        assert abs(out[0]) < 1e-15
+
+    def test_ladder_over_several_boxes_matches_direct_summation(self):
+        # unequal spacings give each axis its own reach; the ladder spans a
+        # one-cell ball, a ball one cell wide on two axes only, and radii
+        # whose boxes all differ
+        grid = GridSpec(3, (6.0, 5.0, 7.0), (14, 12, 11), TRUNCATED, (-3.0, -2.5, -3.5))
+        h = grid.spacings
+        radii = (0.2, 0.45, 0.9, 1.4, 2.5)
+        boxes = {_fast_box(grid, [_ball_reach(r, ha) for ha in h]) for r in radii[1:]}
+        assert len(boxes) >= 3
+        rng = np.random.default_rng(18)
+        stack = rng.standard_normal((2,) + grid.shape)
+        want = np.zeros(stack.shape)
+        for r in radii:
+            half = [int(r / ha) + 1 for ha in h]
+            padded = np.pad(np.abs(stack), [(0, 0)] + [(k, k) for k in half])
+            total, count = np.zeros(stack.shape), 0
+            for off in np.ndindex(*[2 * k + 1 for k in half]):
+                if sum(((o - k) * ha) ** 2 for o, k, ha in zip(off, half, h)) > r * r:
+                    continue
+                count += 1
+                total += padded[(slice(None),) + tuple(slice(o, o + n) for o, n in zip(off, grid.shape))]
+            want = np.maximum(want, total / count)
+        got = maximal_function_stack(stack, grid, radii)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
 
     def test_radius_ladder_shape(self):
