@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import PERIODIC, GridSpec, GridMismatchError, radial_distance
+from .fields import PERIODIC, GridMismatchError, GridSpec, as_count, radial_distance
 
 FAMILIES = ("constant", "radial-log", "gaussian-bump", "sinusoidal", "custom-samples")
 
@@ -181,6 +181,7 @@ def log_holder_constants(p: ExponentField, pair_budget: int = 200_000,
     exhaustively; otherwise pairs come from a counter-based hash stream, so
     a larger budget with the same seed only ever adds pairs.
     """
+    pair_budget, seed = as_count(pair_budget, "pair_budget"), as_count(seed, "seed")
     if pair_budget < 1:
         raise ValueError(f"pair_budget must be positive, got {pair_budget}")
     pts = _point_matrix(p.grid)

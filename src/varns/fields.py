@@ -135,6 +135,7 @@ class GridSpec:
 
     def refine(self, factor: int = 2) -> GridSpec:
         """Same box, resolution multiplied by ``factor`` per axis."""
+        factor = as_count(factor, "refinement factor")
         if factor < 1:
             raise ValueError(f"refinement factor must be >= 1, got {factor}")
         return GridSpec(
@@ -161,6 +162,37 @@ def radial_distance(grid: GridSpec, center: tuple[float, ...] | None = None) -> 
             d = np.minimum(d, grid.extents[axis] - d)
         sq = sq + d * d
     return np.sqrt(sq)
+
+
+def _wave_argument(mode, phase: float, grid: GridSpec) -> np.ndarray:
+    """``2 pi n . (x - origin) / L + phase`` at every sample point, for the
+    plane wave of integer mode ``n``."""
+    coords = grid.coords()
+    arg = np.zeros(grid.shape)
+    for axis in range(grid.dimension):
+        arg = arg + (2.0 * np.pi * mode[axis] / grid.extents[axis]) \
+            * (coords[axis] - grid.origin[axis])
+    return arg + phase
+
+
+def _transverse_wave(rng: np.random.Generator, grid: GridSpec) -> np.ndarray:
+    """A seeded divergence-free plane wave ``amp cos(2 pi n . x / L + phase) e``
+    on a 3d grid, of shape ``(3, *grid.shape)``.  Drawn in this order: a
+    nonzero mode ``n`` in ``[-2, 2]^3``, a unit ``e`` orthogonal to ``n``
+    (a standard normal projected and normalised), ``amp`` and ``phase``."""
+    while True:
+        mode = rng.integers(-2, 3, size=3)
+        if np.any(mode != 0):
+            break
+    m = mode.astype(float)
+    e = rng.standard_normal(3)
+    e = e - m * (m @ e) / (m @ m)
+    if np.linalg.norm(e) < 1e-8:  # a draw parallel to n, of probability zero
+        e = np.cross(m, [1.0, 0.3, 0.7])
+    e = e / np.linalg.norm(e)
+    amp = rng.uniform(0.3, 1.0)
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    return np.multiply.outer(e, amp * np.cos(_wave_argument(mode, phase, grid)))
 
 
 def _check_values(values, grid: GridSpec, what: str, lead: tuple[int, ...] = ()) -> np.ndarray:

@@ -1,16 +1,25 @@
 """Seeded test-field corpora.
 
-Every random parameter is drawn in fractional box coordinates before any
-grid array is touched, so regenerating a corpus on a refined grid yields
-the same analytic fields sampled more finely.  All draws come from a
-single generator seeded by the caller: identical (kind, size, grid shape
-family, seed) means identical fields bit-for-bit.
+Every random parameter is drawn in fractional box coordinates, and no draw
+depends on the grid, so regenerating a corpus on a refined grid yields the
+same analytic fields sampled more finely.  A divergence-free field is a sum
+of the transverse plane waves the solver's ``c_B`` trials are made of.  All
+draws come from a single generator seeded by the caller: identical (kind,
+size, grid shape family, seed) means identical fields bit-for-bit.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ..fields import PERIODIC, GridSpec, ScalarField, TensorField, VectorField
+from ..fields import (
+    PERIODIC,
+    GridSpec,
+    ScalarField,
+    TensorField,
+    VectorField,
+    _transverse_wave,
+    _wave_argument,
+)
 
 KINDS = ("smooth-decaying", "plane-wave-mix", "indicator-union", "divergence-free")
 
@@ -65,19 +74,10 @@ def _draw_waves(rng: np.random.Generator, dimension: int,
     return waves
 
 
-def _wave_argument(wave: dict, grid: GridSpec) -> np.ndarray:
-    coords = grid.coords()
-    arg = np.zeros(grid.shape)
-    for axis in range(grid.dimension):
-        arg = arg + (2.0 * np.pi * wave["mode"][axis] / grid.extents[axis]) \
-            * (coords[axis] - grid.origin[axis])
-    return arg + wave["phase"]
-
-
 def _eval_waves(waves: list[dict], grid: GridSpec) -> np.ndarray:
     out = np.zeros(grid.shape)
     for wave in waves:
-        out += wave["amp"] * np.cos(_wave_argument(wave, grid))
+        out += wave["amp"] * np.cos(_wave_argument(wave["mode"], wave["phase"], grid))
     return out
 
 
@@ -102,38 +102,6 @@ def _eval_boxes(boxes: list[dict], grid: GridSpec) -> np.ndarray:
             inside &= (coords[axis] >= lo) & (coords[axis] < hi)
         out |= inside
     return out.astype(float)
-
-
-def _draw_divfree(rng: np.random.Generator) -> list[dict]:
-    count = int(rng.integers(2, 5))
-    waves = []
-    for _ in range(count):
-        while True:
-            mode = rng.integers(-2, 3, size=3)
-            if np.any(mode != 0):
-                break
-        direction = rng.standard_normal(3)
-        m = mode.astype(float)
-        direction = direction - m * (m @ direction) / (m @ m)
-        if np.linalg.norm(direction) < 1e-8:
-            direction = np.cross(m, [1.0, 0.3, 0.7])
-        direction = direction / np.linalg.norm(direction)
-        waves.append({
-            "mode": mode,
-            "direction": direction,
-            "amp": rng.uniform(0.3, 1.0),
-            "phase": rng.uniform(0.0, 2.0 * np.pi),
-        })
-    return waves
-
-
-def _eval_divfree(waves: list[dict], grid: GridSpec) -> VectorField:
-    comps = [np.zeros(grid.shape) for _ in range(3)]
-    for wave in waves:
-        profile = wave["amp"] * np.cos(_wave_argument(wave, grid))
-        for m in range(3):
-            comps[m] += wave["direction"][m] * profile
-    return VectorField.from_arrays(comps, grid)
 
 
 def generate_corpus(kind: str, size: int, grid: GridSpec, seed: int) -> list:
@@ -163,7 +131,9 @@ def generate_corpus(kind: str, size: int, grid: GridSpec, seed: int) -> list:
             fields.append(ScalarField(_eval_boxes(_draw_boxes(rng, grid.dimension),
                                                   grid), grid))
         else:
-            fields.append(_eval_divfree(_draw_divfree(rng), grid))
+            count = int(rng.integers(2, 5))
+            fields.append(VectorField(sum(_transverse_wave(rng, grid) for _ in range(count)),
+                                      grid))
     return fields
 
 

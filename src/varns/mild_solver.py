@@ -38,9 +38,9 @@ measures and writes (:func:`_ahead`), and after the last sweep it transforms
 the solution's frames while the calling thread measures their divergence.
 Either thread forms a node with the same arithmetic, so every output is bit
 for bit that of a serial sweep.  The helper lives for one call of
-:func:`picard_solve` or :func:`bilinear_term`; the ``e0`` streams of
-:func:`initial_term` and :func:`smallness_check` have no transport and need
-none.  ``VARNS_THREADS`` sets the FFT workers of each transform.
+:func:`picard_solve`, its only user: :func:`bilinear_term`, the stacked
+reference of a sweep, and the ``e0`` streams run on the calling thread
+alone.  ``VARNS_THREADS`` sets the FFT workers of each transform.
 
 The ``thm2`` gate also scans shorter horizons.  ``e0`` is causal, so on
 ``[0, t_k]`` it is the first ``k`` time cells of the one stream the gate
@@ -68,6 +68,7 @@ from .fields import (
     SpaceTimeField,
     TimeGrid,
     VectorField,
+    _transverse_wave,
     as_count,
 )
 from .operators import (
@@ -286,11 +287,11 @@ def _force_at_nodes(force_spec, tg: TimeGrid, ws: SpectralWorkspace):
 
 
 def bilinear_term(u: SpaceTimeField, ws: SpectralWorkspace) -> SpaceTimeField:
-    """Heat-propagated projected transport term of ``u`` against itself."""
+    """Heat-propagated projected transport term of ``u`` against itself, on the
+    calling thread alone: the stacked reference of a :func:`picard_solve` sweep."""
     if u.grid != ws.grid:
         raise ValueError("field and workspace grids differ")
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        data = duhamel_accumulate(_transport_at_nodes(u.data, ws, pool), u.tg, ws)
+    data = duhamel_accumulate(lambda i: _transport_hat(u.data[i], ws), u.tg, ws)
     return SpaceTimeField(data, u.tg, u.grid)
 
 
@@ -340,15 +341,6 @@ def _ahead(job, nodes: int, pool: ThreadPoolExecutor):
             free += 1
         return out
     return hat
-
-
-def _transport_at_nodes(u: np.ndarray, ws: SpectralWorkspace, pool: ThreadPoolExecutor):
-    """``hat_at_node`` of the transport spectrum of a history stack ``u``,
-    formed ahead of the caller, mostly on ``pool`` (:func:`_ahead`).  The
-    job for node ``k`` reads only ``u[k]``, which
-    :func:`~varns.operators.duhamel_frames` lets the caller overwrite only
-    after node ``k`` is handed out and yielded."""
-    return _ahead(lambda i: _transport_hat(u[i], ws), len(u), pool)
 
 
 def _iterate_hat(u: np.ndarray, force, ws: SpectralWorkspace):
@@ -434,31 +426,15 @@ def norm_E_thm2(u: SpaceTimeField, p: ExponentField, q: float,
 
 
 def _trial_modes(grid: GridSpec, tg: TimeGrid, rng: np.random.Generator) -> SeparableField:
-    """The seeded trial field ``u = sum_j m_j(t) e_j w_j(x)`` of two modes:
-    per mode a unit polarization ``e_j`` transverse to the wave vector, the
-    plane wave ``w_j``, and the time modulation ``m_j`` at the nodes."""
-    coords = grid.coords()
+    """The seeded trial field ``u = sum_j m_j(t) V_j(x)`` of two modes: per mode
+    a transverse plane wave ``V_j`` as the divergence-free corpus draws them,
+    then the modulation ``m_j = 1 + cos(omega t + psi) / 2`` at the nodes."""
     modes = []
     for _ in range(2):
-        while True:
-            n = rng.integers(-2, 3, size=grid.dimension)
-            if np.any(n != 0):
-                break
-        e = rng.standard_normal(grid.dimension)
-        nf = n.astype(float)
-        e = e - nf * (nf @ e) / (nf @ nf)
-        if np.linalg.norm(e) < 1e-8:
-            e = np.roll(nf, 1) - nf * (nf @ np.roll(nf, 1)) / (nf @ nf)
-        e = e / np.linalg.norm(e)
-        amp = rng.uniform(0.3, 1.0)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        arg = sum(2.0 * np.pi * n[a] * (coords[a] - grid.origin[a]) / grid.extents[a]
-                  for a in range(grid.dimension))
-        wave = amp * np.cos(arg + phase)
+        wave = VectorField(_transverse_wave(rng, grid), grid)
         omega = rng.uniform(0.0, 2.0 * np.pi)
         psi = rng.uniform(0.0, 2.0 * np.pi)
-        modes.append((VectorField(np.multiply.outer(e, wave), grid),
-                      1.0 + 0.5 * np.cos(omega * tg.nodes + psi)))
+        modes.append((wave, 1.0 + 0.5 * np.cos(omega * tg.nodes + psi)))
     return SeparableField(tuple(modes), tg)
 
 

@@ -253,11 +253,11 @@ def heat_convolve(f, t: float, ws: SpectralWorkspace):
     t = float(t)
     if not 0 <= t < math.inf:
         raise ValueError(f"heat time must be nonnegative and finite, got {t}")
-    if t == 0.0:
-        return f
     if not isinstance(f, (ScalarField, VectorField)):
         raise TypeError(f"heat_convolve expects a scalar or vector field, got {type(f)!r}")
     require_same_grid(f, grid=ws.grid)
+    if t == 0.0:
+        return f
     return type(f)(ws.inverse(_heat_multiplier(t, ws) * ws.forward(f.values)), ws.grid)
 
 

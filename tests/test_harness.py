@@ -20,6 +20,7 @@ from varns import (
     classical_norm,
     divergence,
     leray_project,
+    log_holder_constants,
     luxemburg_norm,
     make_exponent,
     make_workspace,
@@ -273,6 +274,11 @@ def test_non_finite_or_negative_parameters_are_rejected(build):
         build()
 
 
+def _long_line_exponent():
+    # 1000 points: more pairs than the budgets below, so pairs are sampled
+    return make_exponent("constant", (2.0,), GridSpec(1, (1.0,), (1000,)))
+
+
 def _solve_document(tmp_path, **keys):
     return main(["solve", "--config",
                  write_json(tmp_path / "s.json", dict(small_solver_doc(), **keys))])
@@ -299,10 +305,16 @@ def _solve_document(tmp_path, **keys):
      "max_iters"),
     (lambda tmp: picard_solve(build_solver_config(small_solver_doc()), trials=2.5), "trials"),
     (lambda tmp: _campaign(corpus_size=2.5), "corpus_size"),
+    # a 24^3 grid is not nested in the 16^3 one it would refine
+    (lambda tmp: GridSpec(3, (1.0,) * 3, (16,) * 3).refine(1.5), "refinement factor"),
+    (lambda tmp: GridSpec(3, (1.0,) * 3, (16,) * 3).refine(2.5), "refinement factor"),
+    (lambda tmp: log_holder_constants(_long_line_exponent(), pair_budget=2.5), "pair_budget"),
+    (lambda tmp: log_holder_constants(_long_line_exponent(), seed=0.5), "seed"),
 ], ids=["grid-resolution", "time-steps", "grid-doc-dimension", "campaign-levels",
         "campaign-corpus_size", "campaign-seed", "solver-steps", "solver-max_iters",
         "solver-u0-seed", "solver-force-seed", "cli-trials", "cli-estimate_seed",
-        "config-max_iters", "estimate-trials", "config-corpus_size"])
+        "config-max_iters", "estimate-trials", "config-corpus_size", "grid-refine-1.5",
+        "grid-refine-2.5", "holder-pair_budget", "holder-seed"])
 def test_non_integral_counts_are_refused(build, name, tmp_path, capsys):
     try:
         rc = build(tmp_path)
@@ -318,6 +330,10 @@ def test_non_integral_counts_are_refused(build, name, tmp_path, capsys):
 def test_integral_float_counts_are_accepted():
     assert GridSpec(1, (1.0,), (16.0,)).resolution == (16,)
     assert TimeGrid(1.0, 8.0).steps == 8
+    assert GridSpec(3, (1.0,) * 3, (16,) * 3).refine(2.0).resolution == (32,) * 3
+    p = _long_line_exponent()
+    assert log_holder_constants(p, pair_budget=1000.0, seed=3.0) == \
+        log_holder_constants(p, pair_budget=1000, seed=3)
     cfg = build_campaign_config({"target": "holder", "refinement_levels": 2.0,
                                  "corpus_size": 3.0})
     assert (cfg.refinement_levels, cfg.corpus_size) == (2, 3)

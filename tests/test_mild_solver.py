@@ -41,6 +41,7 @@ from varns import (
     tensor_divergence,
 )
 from varns import mild_solver
+from varns.fields import _wave_argument
 from varns.operators import SpectralWorkspace
 
 TWO_PI = 2.0 * np.pi
@@ -168,7 +169,6 @@ def taylor_green_history(grid, tg):
 def divfree_history(grid, tg, rng):
     """A trial field of the operator constant, drawn as one stack: seeded
     transverse plane waves, each with a smooth time modulation."""
-    coords = grid.coords()
     data = np.zeros((tg.steps + 1, grid.dimension) + grid.shape)
     for _ in range(2):
         while True:
@@ -179,13 +179,11 @@ def divfree_history(grid, tg, rng):
         nf = n.astype(float)
         e = e - nf * (nf @ e) / (nf @ nf)
         if np.linalg.norm(e) < 1e-8:
-            e = np.roll(nf, 1) - nf * (nf @ np.roll(nf, 1)) / (nf @ nf)
+            e = np.cross(nf, [1.0, 0.3, 0.7])
         e = e / np.linalg.norm(e)
         amp = rng.uniform(0.3, 1.0)
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        arg = sum(2.0 * np.pi * n[a] * (coords[a] - grid.origin[a]) / grid.extents[a]
-                  for a in range(grid.dimension))
-        wave = amp * np.cos(arg + phase)
+        wave = amp * np.cos(_wave_argument(n, phase, grid))
         omega = rng.uniform(0.0, 2.0 * np.pi)
         psi = rng.uniform(0.0, 2.0 * np.pi)
         mod = 1.0 + 0.5 * np.cos(omega * tg.nodes + psi)
@@ -459,6 +457,21 @@ class TestBilinearTerm:
         out = bilinear_term(u, make_workspace(g))
         assert np.max(np.abs(out.data[0])) == 0.0
 
+    def test_runs_on_the_calling_thread_alone(self, monkeypatch):
+        # the whole-stack reference of a sweep does not run through the
+        # scheduler the sweep tests check
+        g, tg = torus(8), TimeGrid(0.5, 8)
+        ws = make_workspace(g)
+        u = taylor_green_history(g, tg)
+
+        def no_helper(*args, **kwargs):
+            raise AssertionError("bilinear_term started a helper thread")
+
+        monkeypatch.setattr(mild_solver, "ThreadPoolExecutor", no_helper)
+        out = bilinear_term(u, ws)
+        want = duhamel_accumulate(lambda i: mild_solver._transport_hat(u.data[i], ws), tg, ws)
+        assert out.data.tobytes() == want.tobytes()
+
     def test_refinement_consistency(self):
         # doubling space and time moves the answer by O(dt^2): the coarse
         # run must sit within 1e-3 of the restricted fine run
@@ -599,6 +612,23 @@ class TestOperatorConstant:
             want.append(norm(bilinear_term(u, ws)) / norm(u) ** 2)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         assert estimate_bilinear_constant(regime, p, q, tg, ws, trials=4, seed=7) == max(got)
+
+    @pytest.mark.parametrize("regime, want", [
+        ("thm1", 0.011009409224691489),
+        ("thm2", 0.03838726308341171),
+    ])
+    def test_seeded_draws_keep_their_constant(self, regime, want):
+        # c_B of three seed-0 trials on 16^3 x 16: thm1 on radial-log
+        # (2.5, 0.5), thm2 on criterion 09's p = 3 + sin^2 t with q = 10.
+        # A moved draw changes it at O(1), rounding at a few ulp
+        g, tg = torus(16), TimeGrid(1.0, 16)
+        if regime == "thm1":
+            p, q = make_exponent("radial-log", (2.5, 0.5), g), None
+        else:
+            pg = GridSpec(1, (1.0,), (16,), TRUNCATED, (0.0,))
+            p, q = exponent_from_samples(3.0 + np.sin(pg.coords()[0]) ** 2, pg), 10.0
+        got = estimate_bilinear_constant(regime, p, q, tg, make_workspace(g), trials=3, seed=0)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_three_transport_spectra_per_trial_and_no_history(self, monkeypatch):
         import tracemalloc
@@ -964,6 +994,13 @@ class TestStreamedSweep:
         assert res.residual == 0.0
 
 
+def transport_ahead(u, ws, pool):
+    """The transport spectra of a history stack through the solver's
+    scheduler; ``_transport_hat`` is looked up per node, so a test may
+    patch it."""
+    return mild_solver._ahead(lambda i: mild_solver._transport_hat(u[i], ws), len(u), pool)
+
+
 class TestTransportPipeline:
     @pytest.mark.parametrize("force", [None, "sampled"])
     def test_prefetched_stream_matches_the_serial_spectra(self, force):
@@ -989,7 +1026,7 @@ class TestTransportPipeline:
                 b = [mild_solver._transport_hat(u[i], ws) for i in range(len(u))]
                 return b, [-x if force_at is None else force_at(i) - x for i, x in enumerate(b)]
 
-            streams = (mild_solver._transport_at_nodes(u, ws, pool),
+            streams = (transport_ahead(u, ws, pool),
                        mild_solver._ahead(mild_solver._iterate_hat(u, force_at, ws),
                                           len(u), pool))
             for _ in range(2):
@@ -1019,7 +1056,7 @@ class TestTransportPipeline:
         want = [transport(u[i], ws).tobytes() for i in range(tg.steps + 1)]
         monkeypatch.setattr(mild_solver, "_transport_hat", dawdling)
         with ThreadPoolExecutor(max_workers=1) as pool:
-            hat = mild_solver._transport_at_nodes(u, ws, pool)
+            hat = transport_ahead(u, ws, pool)
             got = [hat(i).tobytes() for i in range(tg.steps + 1)]
         assert got == want
         # every node formed once, the caller's in order and more than node 0
@@ -1045,7 +1082,7 @@ class TestTransportPipeline:
 
         monkeypatch.setattr(mild_solver, "_transport_hat", recording)
         with ThreadPoolExecutor(max_workers=1) as pool, np.errstate(all="raise"):
-            hat = mild_solver._transport_at_nodes(u, ws, pool)
+            hat = transport_ahead(u, ws, pool)
             for i in range(tg.steps + 1):
                 hat(i)
                 deadline = time.monotonic() + 60

@@ -6,6 +6,7 @@ from scipy.signal import fftconvolve
 from varns import (
     PERIODIC,
     TRUNCATED,
+    GridMismatchError,
     GridSpec,
     RadialOrderError,
     ScalarField,
@@ -322,6 +323,17 @@ class TestHeatFlow:
         ws = make_workspace(g)
         with pytest.raises(ValueError):
             heat_convolve(smooth_random(g, 1), -0.1, ws)
+
+    @pytest.mark.parametrize("t", [0.0, 0.1])
+    def test_input_is_checked_at_every_time(self, t):
+        # t = 0 is the identity, but only on a field of the workspace's grid
+        ws = make_workspace(torus(8))
+        with pytest.raises(GridMismatchError):
+            heat_convolve(smooth_random(torus(6), 1), t, ws)
+        with pytest.raises(TypeError):
+            heat_convolve("not a field", t, ws)
+        with pytest.raises(TypeError):
+            heat_convolve(TensorField(np.zeros((3, 3) + ws.grid.shape), ws.grid), t, ws)
 
 
 class TestDuhamel:
