@@ -1,13 +1,14 @@
 """Variable exponent fields ``p(x)`` and their regularity diagnostics.
 
 An exponent field is a sampled function with ``1 < p_minus <= p(x) <=
-p_plus < inf``: its samples are the field.  Closed-form families are
-evaluated once on the grid they are made for; a field on another grid is
-made there from the same family and parameters.
+p_plus < inf``: its samples are the field, and its constructor checks them
+and derives both bounds from them.  Closed-form families are evaluated once
+on the grid they are made for; a field on another grid is made there from
+the same family and parameters.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,40 +23,38 @@ class ExponentRangeError(ValueError):
 
 @dataclass(frozen=True)
 class ExponentField:
-    """Sampled exponent with cached bounds.
+    """Exponent samples on a grid, each in ``(1, inf)``.
 
-    ``p_infinity`` is the decay limit for families that have one (constant,
-    radial-log, gaussian-bump); ``None`` otherwise.  ``family_tag`` names
-    the family the samples were made from.
+    ``p_minus`` and ``p_plus`` are the smallest and largest sample.
+    ``p_infinity`` is the decay limit, in ``(1, inf)``, for fields that have
+    one (the constant, radial-log and gaussian-bump families); ``None``
+    otherwise.
     """
 
     samples: np.ndarray
     grid: GridSpec
-    p_minus: float
-    p_plus: float
-    p_infinity: float | None
-    family_tag: str
+    p_infinity: float | None = None
+    p_minus: float = field(init=False)
+    p_plus: float = field(init=False)
+
+    def __post_init__(self):
+        samples = np.asarray(self.samples, dtype=float)
+        if samples.shape != self.grid.shape:
+            raise GridMismatchError(
+                f"exponent samples shape {samples.shape} does not match grid {self.grid.shape}"
+            )
+        lo, hi = float(samples.min()), float(samples.max())
+        # false for NaN as well as for samples at or below 1 and infinite ones
+        if not 1.0 < lo <= hi < np.inf:
+            raise ExponentRangeError(f"exponent samples must lie in (1, inf), got [{lo}, {hi}]")
+        p_inf = self.p_infinity
+        if p_inf is not None and not 1.0 < p_inf < np.inf:
+            raise ExponentRangeError(f"p_infinity must lie in (1, inf), got {p_inf}")
+        for name, value in (("samples", samples), ("p_minus", lo), ("p_plus", hi)):
+            object.__setattr__(self, name, value)
 
 
-def _build(samples: np.ndarray, grid: GridSpec, family: str,
-           p_infinity: float | None) -> ExponentField:
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != grid.shape:
-        raise GridMismatchError(
-            f"exponent samples shape {samples.shape} does not match grid {grid.shape}"
-        )
-    if not np.all(np.isfinite(samples)):
-        raise ExponentRangeError("exponent samples must be finite")
-    p_minus = float(samples.min())
-    p_plus = float(samples.max())
-    if p_minus <= 1.0:
-        raise ExponentRangeError(
-            f"exponent infimum must exceed 1, got p_minus = {p_minus} (family {family!r})"
-        )
-    return ExponentField(samples, grid, p_minus, p_plus, p_infinity, family)
-
-
-def make_exponent(family_tag: str, params, grid: GridSpec) -> ExponentField:
+def make_exponent(family: str, params, grid: GridSpec) -> ExponentField:
     """Evaluate a named exponent family on a grid.
 
     Families and their parameters:
@@ -70,45 +69,37 @@ def make_exponent(family_tag: str, params, grid: GridSpec) -> ExponentField:
     * ``custom-samples``: flattened sample values, one per grid point.
     """
     params = tuple(float(v) for v in params)
-    if family_tag == "constant":
+    if family == "constant":
         (c,) = params
-        return _build(np.full(grid.shape, c), grid, family_tag, c)
-    if family_tag == "radial-log":
+        return ExponentField(np.full(grid.shape, c), grid, c)
+    if family == "radial-log":
         p_inf, amp = params
         r = radial_distance(grid)
-        return _build(p_inf + amp / np.log(np.e + r), grid, family_tag, p_inf)
-    if family_tag == "gaussian-bump":
+        return ExponentField(p_inf + amp / np.log(np.e + r), grid, p_inf)
+    if family == "gaussian-bump":
         a, b, width = params + (1.0,) if len(params) == 2 else params
         r = radial_distance(grid)
-        return _build(a + b * np.exp(-((r / width) ** 2)), grid, family_tag, a)
-    if family_tag == "sinusoidal":
+        return ExponentField(a + b * np.exp(-((r / width) ** 2)), grid, a)
+    if family == "sinusoidal":
         a, b = params
         prod = np.ones(grid.shape)
         for axis, x in enumerate(grid.coords()):
             prod = prod * np.sin(2 * np.pi * (x - grid.origin[axis]) / grid.extents[axis])
-        return _build(a + b * prod, grid, family_tag, None)
-    if family_tag == "custom-samples":
+        return ExponentField(a + b * prod, grid)
+    if family == "custom-samples":
         n = int(np.prod(grid.shape))
         if len(params) != n:
             raise ValueError(
                 f"custom-samples needs one value per grid point ({n}), got {len(params)}"
             )
-        return _build(np.asarray(params).reshape(grid.shape), grid, family_tag, None)
-    raise ValueError(f"unknown exponent family {family_tag!r}, expected one of {FAMILIES}")
-
-
-def exponent_from_samples(samples, grid: GridSpec,
-                          p_infinity: float | None = None) -> ExponentField:
-    """Wrap raw samples as a ``custom-samples`` exponent field."""
-    return _build(np.asarray(samples, dtype=float), grid, "custom-samples", p_infinity)
+        return ExponentField(np.asarray(params).reshape(grid.shape), grid)
+    raise ValueError(f"unknown exponent family {family!r}, expected one of {FAMILIES}")
 
 
 def _map_exponent(p: ExponentField, fn) -> ExponentField:
-    """``fn`` applied to the samples and to ``p_infinity``; a constant stays
-    ``constant``, anything else becomes ``custom-samples``."""
+    """``fn`` applied to the samples and to ``p_infinity``."""
     p_inf = None if p.p_infinity is None else fn(p.p_infinity)
-    tag = "constant" if p.family_tag == "constant" else "custom-samples"
-    return _build(fn(p.samples), p.grid, tag, p_inf)
+    return ExponentField(fn(p.samples), p.grid, p_inf)
 
 
 def conjugate_exponent(p: ExponentField) -> ExponentField:
@@ -137,11 +128,6 @@ class LogHolderReport:
     c_local: float
     c_decay: float | None
     pair_count: int
-
-    def flagged(self, threshold: float = 50.0) -> bool:
-        """Whether either constant exceeds ``threshold``."""
-        worst = max(self.c_local, self.c_decay if self.c_decay is not None else 0.0)
-        return worst > threshold
 
 
 _MIX1 = np.uint64(0x9E3779B97F4A7C15)

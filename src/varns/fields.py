@@ -175,11 +175,12 @@ def _wave_argument(mode, phase: float, grid: GridSpec) -> np.ndarray:
     return arg + phase
 
 
-def _transverse_wave(rng: np.random.Generator, grid: GridSpec) -> np.ndarray:
+def _transverse_wave(rng: np.random.Generator, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """A seeded divergence-free plane wave ``amp cos(2 pi n . x / L + phase) e``
-    on a 3d grid, of shape ``(3, *grid.shape)``.  Drawn in this order: a
-    nonzero mode ``n`` in ``[-2, 2]^3``, a unit ``e`` orthogonal to ``n``
-    (a standard normal projected and normalised), ``amp`` and ``phase``."""
+    on a 3d grid: its mode ``n`` and its samples, of shape ``(3, *grid.shape)``.
+    Drawn in this order: a nonzero mode ``n`` in ``[-2, 2]^3``, a unit ``e``
+    orthogonal to ``n`` (a standard normal projected and normalised), ``amp``
+    and ``phase``."""
     while True:
         mode = rng.integers(-2, 3, size=3)
         if np.any(mode != 0):
@@ -192,7 +193,7 @@ def _transverse_wave(rng: np.random.Generator, grid: GridSpec) -> np.ndarray:
     e = e / np.linalg.norm(e)
     amp = rng.uniform(0.3, 1.0)
     phase = rng.uniform(0.0, 2.0 * np.pi)
-    return np.multiply.outer(e, amp * np.cos(_wave_argument(mode, phase, grid)))
+    return mode, np.multiply.outer(e, amp * np.cos(_wave_argument(mode, phase, grid)))
 
 
 def _check_values(values, grid: GridSpec, what: str, lead: tuple[int, ...] = ()) -> np.ndarray:

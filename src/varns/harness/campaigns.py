@@ -19,12 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..exponents import (
-    ExponentField,
-    exponent_from_samples,
-    make_exponent,
-    scale_exponent,
-)
+from ..exponents import ExponentField, make_exponent, scale_exponent
 from ..fields import PERIODIC, TRUNCATED, GridSpec, ScalarField, as_count, radial_distance
 from ..operators import (
     default_radius_ladder,
@@ -183,7 +178,7 @@ def _lifted_exponent(p: ExponentField, sigma: float, grid: GridSpec) -> Exponent
     p_inf = None
     if p.p_infinity is not None:
         p_inf = 1.0 / (1.0 / p.p_infinity - sigma / grid.dimension)
-    return exponent_from_samples(1.0 / inv, grid, p_inf)
+    return ExponentField(1.0 / inv, grid, p_inf)
 
 
 def _eval_riesz_potential(cfg, grid, index, corpus, image) -> float:

@@ -132,7 +132,7 @@ def generate_corpus(kind: str, size: int, grid: GridSpec, seed: int) -> list:
                                                   grid), grid))
         else:
             count = int(rng.integers(2, 5))
-            fields.append(VectorField(sum(_transverse_wave(rng, grid) for _ in range(count)),
+            fields.append(VectorField(sum(_transverse_wave(rng, grid)[1] for _ in range(count)),
                                       grid))
     return fields
 

@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 
-from ..exponents import ExponentField, exponent_from_samples
+from ..exponents import ExponentField
 from ..fields import PERIODIC, TRUNCATED, GridSpec, ScalarField
 
 MAGIC = b"VLPF"
@@ -84,7 +84,8 @@ def read_field(path) -> ScalarField:
 
 
 def write_exponent(p: ExponentField, path) -> None:
-    """Store the samples only; family metadata does not survive the trip."""
+    """Store the samples and grid only; ``p_infinity`` does not survive the
+    trip, so :func:`read_exponent` takes it again."""
     with open(path, "wb") as fh:
         fh.write(_encode(p.samples, p.grid))
 
@@ -93,4 +94,4 @@ def read_exponent(path, p_infinity: float | None = None) -> ExponentField:
     with open(path, "rb") as fh:
         blob = fh.read()
     values, grid = _decode(blob, str(path))
-    return exponent_from_samples(values, grid, p_infinity)
+    return ExponentField(values, grid, p_infinity)

@@ -58,7 +58,7 @@ from functools import partial
 
 import numpy as np
 
-from .exponents import ExponentField, exponent_from_samples
+from .exponents import ExponentField
 from .fields import (
     PERIODIC,
     TRUNCATED,
@@ -104,6 +104,11 @@ class PicardBlowupError(FloatingPointError):
 
 class ForceDivergenceError(ValueError):
     """The forcing is not divergence-free to the required tolerance."""
+
+
+def _check_flow_grid(grid: GridSpec) -> None:
+    if grid.topology != PERIODIC or grid.dimension != 3:
+        raise ValueError("the flow grid must be a three-dimensional torus")
 
 
 def _check_time_exponent(p: ExponentField, tg: TimeGrid) -> None:
@@ -153,8 +158,7 @@ class SolverConfig:
         if self.regime not in ("thm1", "thm2"):
             raise ValueError(f"regime must be 'thm1' or 'thm2', got {self.regime!r}")
         grid = self.u0.grid
-        if grid.topology != PERIODIC or grid.dimension != 3:
-            raise ValueError("the flow grid must be a three-dimensional torus")
+        _check_flow_grid(grid)
         if not 1.0 < self.frak_p < math.inf:
             raise ValueError(f"frak_p must exceed 1 and be finite, got {self.frak_p}")
         if not (0.0 < self.tol_fixedpoint < math.inf and 0.0 < self.tol_norm < math.inf):
@@ -400,8 +404,7 @@ class _Trace:
         cells = 0.5 * (nodes[:-1] + nodes[1:])
         p = self.p
         if k is not None and k != cells.size:
-            p = exponent_from_samples(
-                p.samples[:k], GridSpec(1, (self.tg.nodes[k],), (k,), TRUNCATED))
+            p = ExponentField(p.samples[:k], GridSpec(1, (self.tg.nodes[k],), (k,), TRUNCATED))
         return luxemburg_norm(ScalarField(cells[:k], p.grid), p, self.tol)
 
 
@@ -428,13 +431,18 @@ def norm_E_thm2(u: SpaceTimeField, p: ExponentField, q: float,
 def _trial_modes(grid: GridSpec, tg: TimeGrid, rng: np.random.Generator) -> SeparableField:
     """The seeded trial field ``u = sum_j m_j(t) V_j(x)`` of two modes: per mode
     a transverse plane wave ``V_j`` as the divergence-free corpus draws them,
-    then the modulation ``m_j = 1 + cos(omega t + psi) / 2`` at the nodes."""
-    modes = []
+    then the modulation ``m_j = 1 + cos(omega t + psi) / 2`` at the nodes.
+    The second wave is redrawn while its mode is parallel to the first's:
+    such a pair is a shear flow, whose transport vanishes identically."""
+    modes, first = [], None
     for _ in range(2):
-        wave = VectorField(_transverse_wave(rng, grid), grid)
+        mode, wave = _transverse_wave(rng, grid)
+        while first is not None and not np.cross(first, mode).any():
+            mode, wave = _transverse_wave(rng, grid)
+        first = mode
         omega = rng.uniform(0.0, 2.0 * np.pi)
         psi = rng.uniform(0.0, 2.0 * np.pi)
-        modes.append((wave, 1.0 + 0.5 * np.cos(omega * tg.nodes + psi)))
+        modes.append((VectorField(wave, grid), 1.0 + 0.5 * np.cos(omega * tg.nodes + psi)))
     return SeparableField(tuple(modes), tg)
 
 
@@ -480,11 +488,13 @@ def estimate_bilinear_constant(regime: str, p: ExponentField, q: float | None,
     :class:`~varns.fields.SeparableField` measured from its modes
     (:func:`_trial_ratios`): three transport spectra, and ``u`` and
     ``B(u,u)`` streamed node by node into their norms, so no history is
-    held and no helper thread is started.
+    held and no helper thread is started.  The workspace must be a
+    three-dimensional torus, as a :class:`SolverConfig`'s flow grid is.
     """
     trials = as_count(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    _check_flow_grid(ws.grid)
     return max(_trial_ratios(regime, p, q, tg, ws, trials, seed, frak_p, tol))
 
 
@@ -561,9 +571,9 @@ def picard_solve(cfg: SolverConfig, c_b: float | None = None, trials: int = 3,
                  override_smallness: bool = False) -> SolverResult:
     """Run the fixed-point iteration until the increments drop below tolerance.
 
-    The solve holds one ``(steps + 1, 3, *grid)`` stack ``u``.  A given
-    ``c_b`` must be positive and finite; when not given, ``c_B`` is
-    estimated before ``u`` is allocated, and so is the force checked, whose
+    The solve holds one ``(steps + 1, 3, *grid)`` stack ``u``.  ``c_b``
+    must be positive and finite, given or estimated; when not given, ``c_B``
+    is estimated before ``u`` is allocated, and so is the force checked, whose
     node spectra every sweep forms from its modes.  ``e0`` is never stored:
     its frames fill ``u`` and stream into the norm trace that the gate and
     its ``thm2`` ladder read.  Each iterate is one sweep that forms
@@ -590,8 +600,6 @@ def picard_solve(cfg: SolverConfig, c_b: float | None = None, trials: int = 3,
     if c_b is None:
         c_b = estimate_bilinear_constant(
             cfg.regime, cfg.p, cfg.q, cfg.tg, ws, trials, seed, cfg.frak_p, cfg.tol_norm)
-        if c_b == 0.0:
-            c_b = 1e-30
     _check_constant(c_b)
     tg, grid = cfg.tg, cfg.u0.grid
     force = _force_at_nodes(cfg.force_spec, tg, ws)

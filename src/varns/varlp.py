@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponents import ExponentField, conjugate_exponent, exponent_from_samples
+from .exponents import ExponentField, conjugate_exponent
 from .fields import (
     TRUNCATED,
     GridSpec,
@@ -203,7 +203,7 @@ def holder_split(q: ExponentField, r: ExponentField) -> ExponentField:
     """Exponent field ``p`` with ``1/p = 1/q + 1/r`` pointwise."""
     require_same_grid(q, r)
     samples = 1.0 / (1.0 / q.samples + 1.0 / r.samples)
-    return exponent_from_samples(samples, q.grid)
+    return ExponentField(samples, q.grid)
 
 
 __all__ = [

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from varns import (
+    ExponentField,
     GridSpec,
     PERIODIC,
     ScalarField,
@@ -21,7 +22,6 @@ from varns import (
     VectorField,
     classical_norm,
     divergence,
-    exponent_from_samples,
     heat_convolve,
     leray_project,
     luxemburg_norm,
@@ -335,7 +335,7 @@ def test_criterion_09_time_exponent_regime(capsys):
     grid, tg = torus(16), TimeGrid(1.0, 16)
     p_grid = GridSpec(1, (1.0,), (16,), TRUNCATED, (0.0,))
     t_mid = p_grid.coords()[0]
-    p = exponent_from_samples(3.0 + np.sin(t_mid) ** 2, p_grid)
+    p = ExponentField(3.0 + np.sin(t_mid) ** 2, p_grid)
     ws = make_workspace(grid)
     c_b = estimate_bilinear_constant("thm2", p, 10.0, tg, ws, trials=3, seed=0)
 

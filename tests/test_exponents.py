@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 from varns import (
     TRUNCATED,
     ExponentRangeError,
+    ExponentField,
+    GridMismatchError,
     GridSpec,
     conjugate_exponent,
-    exponent_from_samples,
     log_holder_constants,
     make_exponent,
     radial_distance,
@@ -31,7 +32,6 @@ class TestFamilies:
         assert p.p_minus == 3.0
         assert p.p_plus == 3.0
         assert p.p_infinity == 3.0
-        assert p.family_tag == "constant"
 
     def test_radial_log_center_value(self):
         # odd resolution puts a cell midpoint exactly at the box center
@@ -70,9 +70,8 @@ class TestFamilies:
     def test_custom_samples_roundtrip(self):
         g = line(res=64)
         vals = 2.0 + 0.3 * np.cos(np.linspace(0, 5, 64))
-        p = exponent_from_samples(vals, g, p_infinity=2.0)
+        p = ExponentField(vals, g, p_infinity=2.0)
         assert np.array_equal(p.samples, vals)
-        assert p.family_tag == "custom-samples"
         assert p.p_infinity == 2.0
 
     def test_infimum_at_one_rejected(self):
@@ -82,7 +81,7 @@ class TestFamilies:
         with pytest.raises(ExponentRangeError):
             make_exponent("gaussian-bump", (1.0, 0.5), g)
         with pytest.raises(ExponentRangeError):
-            exponent_from_samples(np.full(g.shape, 0.9), g)
+            ExponentField(np.full(g.shape, 0.9), g)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
@@ -93,7 +92,39 @@ class TestFamilies:
         vals = np.full(8, 2.0)
         vals[3] = np.nan
         with pytest.raises(ExponentRangeError):
-            exponent_from_samples(vals, g)
+            ExponentField(vals, g)
+
+
+class TestConstruction:
+    """The constructor checks its samples and derives both bounds."""
+
+    def test_bounds_come_from_the_samples(self):
+        g = line(res=64)
+        vals = 2.0 + 0.3 * np.sin(np.linspace(0, 5, 64))
+        p = ExponentField(vals, g)
+        assert (p.p_minus, p.p_plus) == (vals.min(), vals.max())
+        assert p.p_infinity is None
+        with pytest.raises(TypeError):
+            ExponentField(vals, g, None, 1.5, 2.5)
+        with pytest.raises(TypeError):
+            ExponentField(vals, g, p_minus=1.5)
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, np.nan, np.inf, -np.inf])
+    def test_samples_outside_the_open_range_are_refused(self, bad):
+        g = line(res=8)
+        vals = np.full(8, 2.0)
+        vals[5] = bad
+        with pytest.raises(ExponentRangeError):
+            ExponentField(vals, g)
+
+    def test_wrong_shape_is_refused(self):
+        with pytest.raises(GridMismatchError):
+            ExponentField(np.full(7, 2.0), line(res=8))
+
+    @pytest.mark.parametrize("p_inf", [0.5, 1.0, np.nan, np.inf, -np.inf])
+    def test_limit_outside_the_open_range_is_refused(self, p_inf):
+        with pytest.raises(ExponentRangeError):
+            ExponentField(np.full(8, 2.0), line(res=8), p_inf)
 
 
 class TestDerivedExponents:
@@ -163,7 +194,7 @@ class TestLogRegularity:
     def test_budget_is_monotone_for_sampled_scans(self):
         g = line(res=128)
         vals = 2.0 + (g.axis_coords(0) > 0.0)  # step exponent
-        p = exponent_from_samples(vals, g)
+        p = ExponentField(vals, g)
         full = 128 * 127 // 2
         c_small = log_holder_constants(p, pair_budget=1000, seed=3).c_local
         c_big = log_holder_constants(p, pair_budget=5000, seed=3).c_local
@@ -177,7 +208,7 @@ class TestLogRegularity:
         for res in res_sweep:
             g = GridSpec(1, (1.0,), (res,), TRUNCATED, (0.0,))
             vals = np.where(g.axis_coords(0) < 0.5, 2.0, 3.0)
-            p = exponent_from_samples(vals, g)
+            p = ExponentField(vals, g)
             rep = log_holder_constants(p, pair_budget=res * (res - 1) // 2)
             seen.append(rep.c_local)
         assert seen[0] < seen[1] < seen[2]
@@ -188,13 +219,15 @@ class TestLogRegularity:
     def test_flagging_thresholds(self):
         g = GridSpec(1, (1.0,), (1024,), TRUNCATED, (0.0,))
         vals = np.where(g.axis_coords(0) < 0.5, 2.0, 3.0)
-        rep = log_holder_constants(exponent_from_samples(vals, g))
-        assert rep.flagged(threshold=0.5)
-        assert not rep.flagged()  # default threshold stays quiet
+        rep = log_holder_constants(ExponentField(vals, g))
+        assert 0.5 < rep.c_local <= 50.0
+        assert rep.c_decay is None
 
     def test_smooth_family_not_flagged(self):
         p = make_exponent("radial-log", (2.0, 0.5), line(res=200))
-        assert not log_holder_constants(p).flagged()
+        rep = log_holder_constants(p)
+        assert rep.c_local <= 50.0
+        assert rep.c_decay <= 50.0
 
     def test_bad_budget_rejected(self):
         p = make_exponent("constant", (2.0,), line(res=8))

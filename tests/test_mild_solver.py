@@ -9,6 +9,7 @@ import pytest
 from varns import (
     PERIODIC,
     TRUNCATED,
+    ExponentField,
     FieldNotFiniteError,
     ForceDivergenceError,
     GridMismatchError,
@@ -26,7 +27,6 @@ from varns import (
     classical_norm,
     duhamel_accumulate,
     estimate_bilinear_constant,
-    exponent_from_samples,
     heat_convolve,
     initial_term,
     luxemburg_norm,
@@ -77,7 +77,7 @@ def thm1_config(grid, tg, amplitude=1.0, force=None, **kw):
 
 def thm2_config(grid, tg, amplitude=0.05, q=10.0, force=None, **kw):
     pg = GridSpec(1, (tg.T,), (tg.steps,), TRUNCATED, (0.0,))
-    p = exponent_from_samples(3.0 + np.sin(pg.axis_coords(0)) ** 2, pg)
+    p = ExponentField(3.0 + np.sin(pg.axis_coords(0)) ** 2, pg)
     defaults = dict(regime="thm2", p=p, q=q, frak_p=3.0, tol_fixedpoint=1e-9,
                     max_iters=20, tol_norm=1e-8, u0=single_mode_u0(grid, amplitude),
                     force_spec=force, tg=tg)
@@ -128,7 +128,7 @@ def prefix_reference(cfg):
     ref = []
     for k in range(tg.steps, 1, -1):
         T_k = tg.nodes[k]
-        p_k = exponent_from_samples(cfg.p.samples[:k], GridSpec(1, (T_k,), (k,), TRUNCATED))
+        p_k = ExponentField(cfg.p.samples[:k], GridSpec(1, (T_k,), (k,), TRUNCATED))
         head = SpaceTimeField(e0.data[:k + 1], TimeGrid(T_k, k), cfg.u0.grid)
         ref.append((T_k, norm_E_thm2(head, p_k, cfg.q, cfg.tol_norm).value))
     return ref
@@ -168,21 +168,27 @@ def taylor_green_history(grid, tg):
 
 def divfree_history(grid, tg, rng):
     """A trial field of the operator constant, drawn as one stack: seeded
-    transverse plane waves, each with a smooth time modulation."""
+    transverse plane waves, each with a smooth time modulation, the second
+    redrawn while its mode is parallel to the first's."""
     data = np.zeros((tg.steps + 1, grid.dimension) + grid.shape)
+    first = None
     for _ in range(2):
         while True:
-            n = rng.integers(-2, 3, size=grid.dimension)
-            if np.any(n != 0):
+            while True:
+                n = rng.integers(-2, 3, size=grid.dimension)
+                if np.any(n != 0):
+                    break
+            e = rng.standard_normal(grid.dimension)
+            nf = n.astype(float)
+            e = e - nf * (nf @ e) / (nf @ nf)
+            if np.linalg.norm(e) < 1e-8:
+                e = np.cross(nf, [1.0, 0.3, 0.7])
+            e = e / np.linalg.norm(e)
+            amp = rng.uniform(0.3, 1.0)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            if first is None or np.any(np.cross(first, n)):
                 break
-        e = rng.standard_normal(grid.dimension)
-        nf = n.astype(float)
-        e = e - nf * (nf @ e) / (nf @ nf)
-        if np.linalg.norm(e) < 1e-8:
-            e = np.cross(nf, [1.0, 0.3, 0.7])
-        e = e / np.linalg.norm(e)
-        amp = rng.uniform(0.3, 1.0)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
+        first = n
         wave = amp * np.cos(_wave_argument(n, phase, grid))
         omega = rng.uniform(0.0, 2.0 * np.pi)
         psi = rng.uniform(0.0, 2.0 * np.pi)
@@ -523,7 +529,7 @@ class TestEnergyNorms:
         u = SpaceTimeField(data, tg, g)
         q = 4.0
         pg = GridSpec(1, (2.0,), (24,), TRUNCATED, (0.0,))
-        p = exponent_from_samples(3.0 + 0.4 * np.cos(pg.axis_coords(0)), pg)
+        p = ExponentField(3.0 + 0.4 * np.cos(pg.axis_coords(0)), pg)
         tol = 1e-10
         got = norm_E_thm2(u, p, q, tol).value
         wq = classical_norm(ScalarField(wave, g), q)
@@ -594,7 +600,7 @@ class TestOperatorConstant:
             p, q = make_exponent("radial-log", (2.5, 0.5), g), None
         else:
             pg = GridSpec(1, (tg.T,), (tg.steps,), TRUNCATED, (0.0,))
-            p, q = exponent_from_samples(3.0 + np.sin(pg.axis_coords(0)) ** 2, pg), 10.0
+            p, q = ExponentField(3.0 + np.sin(pg.axis_coords(0)) ** 2, pg), 10.0
 
         def norm(v):
             if regime == "thm1":
@@ -626,7 +632,7 @@ class TestOperatorConstant:
             p, q = make_exponent("radial-log", (2.5, 0.5), g), None
         else:
             pg = GridSpec(1, (1.0,), (16,), TRUNCATED, (0.0,))
-            p, q = exponent_from_samples(3.0 + np.sin(pg.coords()[0]) ** 2, pg), 10.0
+            p, q = ExponentField(3.0 + np.sin(pg.coords()[0]) ** 2, pg), 10.0
         got = estimate_bilinear_constant(regime, p, q, tg, make_workspace(g), trials=3, seed=0)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -664,6 +670,24 @@ class TestOperatorConstant:
             estimate_bilinear_constant("thm1", p, None, TimeGrid(1.0, 8),
                                        make_workspace(g), trials=0)
 
+    def test_a_trial_never_pairs_parallel_modes(self):
+        # seed 70's first trial paired two waves along one wavevector line, a
+        # shear flow whose transport vanishes, so c_B read 1.2e-17 and the
+        # gate passed data that then diverged
+        g, tg = torus(16), TimeGrid(1.0, 16)
+        p = make_exponent("radial-log", (2.5, 0.5), g)
+        c = estimate_bilinear_constant("thm1", p, None, tg, make_workspace(g), trials=1, seed=70)
+        assert c > 1e-3
+
+    def test_workspace_must_be_a_3d_torus(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a trial wave was drawn")
+        monkeypatch.setattr(mild_solver, "_transverse_wave", no_draw)
+        grid = GridSpec(1, (TWO_PI,), (16,), PERIODIC)
+        p = make_exponent("constant", (2.5,), grid)
+        with pytest.raises(ValueError, match="three-dimensional torus"):
+            estimate_bilinear_constant("thm1", p, None, TimeGrid(1.0, 8), make_workspace(grid))
+
 
 @pytest.mark.parametrize("measure", [
     lambda u, p, ws: estimate_bilinear_constant("thm3", p, 5.0, u.tg, ws),
@@ -679,7 +703,7 @@ def test_bad_regime_or_q_fails_before_any_transform(measure, monkeypatch):
     g = torus(8)
     tg = TimeGrid(1.0, 8)
     pg = GridSpec(1, (tg.T,), (tg.steps,), TRUNCATED, (0.0,))
-    p = exponent_from_samples(3.0 + np.sin(pg.axis_coords(0)) ** 2, pg)
+    p = ExponentField(3.0 + np.sin(pg.axis_coords(0)) ** 2, pg)
     u = taylor_green_history(g, tg)
     ws = make_workspace(g)
 
@@ -770,7 +794,7 @@ class TestSmallnessGate:
         tg = TimeGrid(1.0, 16)
         pg = GridSpec(1, (tg.T,), (tg.steps,), TRUNCATED, (0.0,))
         closed = make_exponent("sinusoidal", (3.5, 0.5), pg)
-        raw = exponent_from_samples(closed.samples, closed.grid)
+        raw = ExponentField(closed.samples, closed.grid)
         force = modulated_force(g, tg)
         ladders = [smallness_check(thm2_config(g, tg, amplitude=0.3, force=force, p=p),
                                    1.0).ladder
@@ -799,6 +823,13 @@ class TestSmallnessGate:
 
 
 class TestFixedPoint:
+    def test_a_zero_estimate_is_refused(self, monkeypatch):
+        # a zero c_B would put the gate's threshold at infinity
+        monkeypatch.setattr(mild_solver, "estimate_bilinear_constant", lambda *args: 0.0)
+        cfg = thm1_config(torus(8), TimeGrid(1.0, 8))
+        with pytest.raises(ValueError, match="bilinear constant must be positive"):
+            picard_solve(cfg)
+
     def test_zero_data_yields_the_zero_solution(self):
         g = torus(8)
         cfg = thm1_config(g, TimeGrid(1.0, 8), amplitude=0.0)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from varns import (
     TRUNCATED,
+    ExponentField,
     ExponentRelationError,
     GridSpec,
     ScalarField,
@@ -12,7 +13,6 @@ from varns import (
     conjugate_exponent,
     conjugate_pairing_lower_bound,
     embedding_defect,
-    exponent_from_samples,
     holder_defect,
     holder_split,
     luxemburg_norm,
@@ -288,7 +288,7 @@ class TestUnitFunctionNorm:
 
     def test_linear_exponent_frozen_reference(self):
         g = line(2.0, 4096, 0.0)
-        p = exponent_from_samples(2.0 + g.axis_coords(0), g)
+        p = ExponentField(2.0 + g.axis_coords(0), g)
         out = unit_function_norm(2.0, p, tol=1e-9)
         assert out.value == pytest.approx(UNIT_NORM_LINEAR_P_RES4096, abs=1e-8)
         # bracketed by the constant-exponent ends
