@@ -38,9 +38,12 @@ measures and writes (:func:`_ahead`), and after the last sweep it transforms
 the solution's frames while the calling thread measures their divergence.
 Either thread forms a node with the same arithmetic, so every output is bit
 for bit that of a serial sweep.  The helper lives for one call of
-:func:`picard_solve`, its only user: :func:`bilinear_term`, the stacked
-reference of a sweep, and the ``e0`` streams run on the calling thread
-alone.  ``VARNS_THREADS`` sets the FFT workers of each transform.
+:func:`picard_solve`.  The ``c_B`` estimate measures its independent trials
+two at a time, on one helper of its own
+(:func:`~varns.operators._two_lanes`), and takes their maximum, which does
+not depend on the order.  :func:`bilinear_term`, the stacked reference of a
+sweep, and the ``e0`` streams run on the calling thread alone.
+``VARNS_THREADS`` sets the FFT workers of each transform.
 
 The ``thm2`` gate also scans shorter horizons.  ``e0`` is causal, so on
 ``[0, t_k]`` it is the first ``k`` time cells of the one stream the gate
@@ -76,6 +79,7 @@ from .operators import (
     _k_dot,
     _relative_divergence_hat,
     _transport_hat,
+    _two_lanes,
     duhamel_accumulate,
     duhamel_frames,
     leray_project,
@@ -433,11 +437,21 @@ def _trial_modes(grid: GridSpec, tg: TimeGrid, rng: np.random.Generator) -> Sepa
     a transverse plane wave ``V_j`` as the divergence-free corpus draws them,
     then the modulation ``m_j = 1 + cos(omega t + psi) / 2`` at the nodes.
     The second wave is redrawn while its mode is parallel to the first's:
-    such a pair is a shear flow, whose transport vanishes identically."""
+    such a pair is a shear flow, whose transport vanishes identically.  It
+    is redrawn too while the pair's sum and difference modes are both dead
+    on the grid (on every axis 0 or the Nyquist index, where every
+    derivative symbol is zero), as on axes of 8 points or fewer they can be:
+    the transport then aliases away."""
+    res = np.array(grid.resolution)
+
+    def dead(mode):
+        m = mode % res
+        return bool(np.all((m == 0) | (2 * m == res)))
     modes, first = [], None
     for _ in range(2):
         mode, wave = _transverse_wave(rng, grid)
-        while first is not None and not np.cross(first, mode).any():
+        while first is not None and (not np.cross(first, mode).any()
+                                     or dead(first + mode) and dead(first - mode)):
             mode, wave = _transverse_wave(rng, grid)
         first = mode
         omega = rng.uniform(0.0, 2.0 * np.pi)
@@ -447,7 +461,8 @@ def _trial_modes(grid: GridSpec, tg: TimeGrid, rng: np.random.Generator) -> Sepa
 
 
 def _trial_ratios(regime: str, p: ExponentField, q: float | None, tg: TimeGrid,
-                  ws: SpectralWorkspace, trials: int, seed: int, frak_p: float, tol: float):
+                  ws: SpectralWorkspace, trials: int, seed: int, frak_p: float,
+                  tol: float) -> list[float]:
     """``norm(B(u, u)) / norm(u)^2`` of each seeded trial, in draw order
     (0 for a zero trial).
 
@@ -455,14 +470,18 @@ def _trial_ratios(regime: str, p: ExponentField, q: float | None, tg: TimeGrid,
     transport spectrum is bilinear, so ``B(u, u)`` is the Duhamel stream of
     ``sum_{j<=k} m_j(t_i) m_k(t_i) T(V_j, V_k)``: one transport spectrum per
     pair of modes, three for two modes.  Node frames of ``u`` are formed
-    from the modes as they are measured, so no history is held.
+    from the modes as they are measured, so no history is held.  Every
+    trial's modes are drawn first, in order from one generator; then the
+    trials are measured two at a time (:func:`~varns.operators._two_lanes`).
     """
     rng = np.random.default_rng(seed)
     grid, nodes = ws.grid, tg.steps + 1
-    for _ in range(trials):
+    drawn = [_trial_modes(grid, tg, rng) for _ in range(trials)]
+
+    def ratio(n: int) -> float:
         size = _Trace(regime, grid, tg, p, q, frak_p, tol)
         transport = _Trace(regime, grid, tg, p, q, frak_p, tol)
-        trial = _trial_modes(grid, tg, rng)
+        trial = drawn[n]
         nu = size.feed(trial.frame(i) for i in range(nodes)).norm().value
         fields = [v.values for v, _ in trial.modes]
         mods = [m for _, m in trial.modes]
@@ -473,7 +492,8 @@ def _trial_ratios(regime: str, p: ExponentField, q: float | None, tg: TimeGrid,
         def hat(i: int) -> np.ndarray:
             return sum(mods[j][i] * mods[k][i] * g for (j, k), g in zip(pairs, spectra))
         nb = transport.feed(duhamel_frames(hat, tg, ws)).norm().value
-        yield nb / (nu * nu) if nu > 0 else 0.0
+        return nb / (nu * nu) if nu > 0 else 0.0
+    return _two_lanes(ratio, trials)
 
 
 def estimate_bilinear_constant(regime: str, p: ExponentField, q: float | None,
@@ -488,8 +508,10 @@ def estimate_bilinear_constant(regime: str, p: ExponentField, q: float | None,
     :class:`~varns.fields.SeparableField` measured from its modes
     (:func:`_trial_ratios`): three transport spectra, and ``u`` and
     ``B(u,u)`` streamed node by node into their norms, so no history is
-    held and no helper thread is started.  The workspace must be a
-    three-dimensional torus, as a :class:`SolverConfig`'s flow grid is.
+    held.  The trials run two at a time, the calling thread and one helper
+    thread that lives for this call, and the estimate is the same bit for
+    bit as a serial one.  The workspace must be a three-dimensional torus,
+    as a :class:`SolverConfig`'s flow grid is.
     """
     trials = as_count(trials, "trials")
     if trials < 1:

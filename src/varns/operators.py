@@ -30,14 +30,19 @@ wrap-around lands on the extension only: ``n + reach`` cells per axis, with
 decides it.  Each kernel gets its own box, so the maximal function groups
 its radii by box and transforms ``|f|`` once per group.  The transforms on
 such a box are pruned: they skip the lines that hold only padding, and
-agree bit for bit with ``rfftn``/``irfftn`` on the whole box.  Kernel
+agree bit for bit with ``rfftn``/``irfftn`` on the whole box.  The fields of
+a stack are independent, so their transforms run two at a time, on the
+calling thread and one helper (:func:`_two_lanes`), and every merge of their
+results is a maximum, so no bit depends on which thread ran what.  Kernel
 quadrature (the fractional integral) uses midpoint weights off the diagonal
 and a closed-form cell integral on it.
 """
 from __future__ import annotations
 
+import contextvars
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -74,6 +79,51 @@ def worker_count() -> int:
     if workers < 1:
         raise ValueError(f"VARNS_THREADS must be a positive integer, got {raw!r}")
     return workers
+
+
+def _two_lanes(job, count: int) -> list:
+    """``[job(0), ..., job(count - 1)]``, computed by the calling thread and
+    one helper thread.
+
+    Both lanes take indices in order from one counter under a lock, and each
+    result is stored at its own index, so the list does not depend on which
+    lane ran which job.  Jobs on the helper run in a copy of the caller's
+    context, so they keep its numpy error state.  An error raised in either
+    lane stops both from taking more jobs, and reaches the caller once both
+    have stopped; the helper never outlives the call.  A count below 2
+    starts no thread.
+    """
+    results = [None] * count
+    if count < 2:
+        for i in range(count):
+            results[i] = job(i)
+        return results
+    lock = threading.Lock()
+    taken, errors = 0, []
+
+    def lane():
+        nonlocal taken
+        while True:
+            with lock:
+                if errors or taken == count:
+                    return
+                i, taken = taken, taken + 1
+            try:
+                results[i] = job(i)
+            except BaseException as exc:
+                with lock:
+                    errors.append(exc)
+                return
+
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(lane,))
+    helper.start()
+    try:
+        lane()
+    finally:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 @dataclass(frozen=True)
@@ -340,7 +390,8 @@ def _alias_free_transforms(grid: GridSpec, box: tuple[int, ...]):
     that is transformed is transformed exactly as by ``rfftn``/``irfftn``
     with ``s=box``, and the lines skipped hold zeros, so the results agree
     with them bit for bit.  A ``box``-shaped input (a kernel) is transformed
-    in full.
+    in full.  The inverse consumes its input: its first axis is transformed
+    in place, so pass it a spectrum the caller owns and will not read again.
     """
     d = grid.dimension
     workers = worker_count()
@@ -355,7 +406,8 @@ def _alias_free_transforms(grid: GridSpec, box: tuple[int, ...]):
 
     def inverse(hat):
         for ax in range(d - 1):
-            hat = sfft.ifft(hat, axis=ax - d, norm="forward", workers=workers)
+            hat = sfft.ifft(hat, axis=ax - d, norm="forward", overwrite_x=ax == 0,
+                            workers=workers)
             hat = hat[(...,) + (slice(0, grid.resolution[ax]),) + (slice(None),) * (d - 1 - ax)]
         out = sfft.irfft(hat, n=box[-1], axis=-1, norm="forward", workers=workers)
         return out[..., :grid.resolution[-1]] * scale
@@ -381,7 +433,10 @@ def maximal_function_stack(values, grid: GridSpec, radii) -> np.ndarray:
     the smallest fast box that keeps each radius's own ball clear of
     wrap-around.  Per group, largest box first, ``|f|`` is transformed field
     by field into one spectrum and each ball mask once; the inverse
-    transforms run field by field to bound the memory.
+    transforms run field by field to bound the memory.  The fields'
+    transforms, and per radius their inverses, run two at a time
+    (:func:`_two_lanes`); each field's maximum is its own, so the result
+    does not depend on which lane ran it.
     """
     radii = [float(r) for r in radii]
     if not radii:
@@ -391,6 +446,8 @@ def maximal_function_stack(values, grid: GridSpec, radii) -> np.ndarray:
         if not 0 < r <= rmax * (1 + 1e-12):
             raise ValueError(f"radius {r} outside (0, {rmax}]")
     fa = np.abs(_stack(values, grid))
+    lead = fa.shape[:fa.ndim - grid.dimension]
+    fa = fa.reshape((-1,) + grid.shape)
     out = np.zeros(fa.shape)
     groups: dict[tuple[int, ...], list[float]] = {}
     for r in radii:
@@ -400,26 +457,29 @@ def maximal_function_stack(values, grid: GridSpec, radii) -> np.ndarray:
         else:
             box = _fast_box(grid, reach) if grid.topology == TRUNCATED else grid.shape
             groups.setdefault(box, []).append(r)
-    lead = fa.shape[:fa.ndim - grid.dimension]
     for box in sorted(groups, key=math.prod, reverse=True):
         if grid.topology == TRUNCATED:
             forward, inverse = _alias_free_transforms(grid, box)
         else:
             ws = make_workspace(grid)
             forward, inverse = ws.forward, ws.inverse
-        fhat = np.empty(lead + box[:-1] + (box[-1] // 2 + 1,), dtype=complex)
-        for i in np.ndindex(lead):
+        fhat = np.empty((len(fa),) + box[:-1] + (box[-1] // 2 + 1,), dtype=complex)
+
+        def transform(i):
             fhat[i] = forward(fa[i])
+        _two_lanes(transform, len(fa))
         dist2 = _offset_dist2(box, grid.spacings)
         for r in groups[box]:
             mask = dist2 <= r * r
             count = int(np.count_nonzero(mask))
             mask_hat = forward(mask.astype(float))
-            for i in np.ndindex(lead):
+
+            def average(i):
                 np.maximum(out[i], inverse(fhat[i] * mask_hat) / count, out=out[i])
+            _two_lanes(average, len(fa))
         # free this group's spectrum before the next group allocates its own
         del fhat
-    return out
+    return out.reshape(lead + grid.shape)
 
 
 def maximal_function(f: ScalarField, radii) -> ScalarField:
@@ -444,13 +504,16 @@ def _diagonal_cell_integral(grid: GridSpec, sigma: float) -> float:
 def riesz_potential_stack(values, grid: GridSpec, sigma: float) -> np.ndarray:
     """:func:`riesz_potential_direct` of every field in a ``(..., *grid.shape)``
     stack; the kernel is built and transformed once per call, and the
-    fields are convolved one by one to bound the memory."""
+    fields are convolved two at a time (:func:`_two_lanes`), each in its
+    own spectrum, to bound the memory."""
     if grid.topology != TRUNCATED:
         raise ValueError("the fractional integral runs on truncated boxes")
     sigma = float(sigma)
     if not 0.0 < sigma < grid.dimension:
         raise ValueError(f"order must lie in (0, {grid.dimension}), got {sigma}")
     fa = np.abs(_stack(values, grid))
+    lead = fa.shape[:fa.ndim - grid.dimension]
+    fa = fa.reshape((-1,) + grid.shape)
     box = _fast_box(grid, [n - 1 for n in grid.resolution])
     forward, inverse = _alias_free_transforms(grid, box)
     dist2 = _offset_dist2(box, grid.spacings)
@@ -458,10 +521,16 @@ def riesz_potential_stack(values, grid: GridSpec, sigma: float) -> np.ndarray:
         kernel = grid.cell_volume * dist2 ** (0.5 * (sigma - grid.dimension))
     kernel[(0,) * grid.dimension] = _diagonal_cell_integral(grid, sigma)
     kernel_hat = forward(kernel)
+    # two fields' spectra are held at once; the box-sized inputs are not
+    del dist2, kernel
     out = np.empty(fa.shape)
-    for i in np.ndindex(fa.shape[:fa.ndim - grid.dimension]):
-        out[i] = inverse(forward(fa[i]) * kernel_hat)
-    return out
+
+    def convolve(i):
+        hat = forward(fa[i])
+        hat *= kernel_hat
+        out[i] = inverse(hat)
+    _two_lanes(convolve, len(fa))
+    return out.reshape(lead + grid.shape)
 
 
 def riesz_potential_direct(f: ScalarField, sigma: float) -> ScalarField:
@@ -547,6 +616,11 @@ def radial_majorant_defects(phi: ScalarField, values) -> np.ndarray:
       The budget costs about a fifteenth of those FFT balls (measured at
       24^3 and 48^3 on a 2-core x86 box), so a rough or sparse field costs
       about what an all-shell pass does.
+    - **Two lanes.**  The bound's balls are split between the calling
+      thread and one helper, each raising its own copy of the bound, and
+      the copies are merged by their maximum; the pending fields are
+      verified two at a time, each writing only its own ratio
+      (:func:`_two_lanes`).  So no bit depends on which thread ran what.
 
     A point is live when its support ball meets the support of ``f``,
     counted exactly by rounding an FFT convolution of the indicator of
@@ -620,16 +694,19 @@ def radial_majorant_defects(phi: ScalarField, values) -> np.ndarray:
     ratios = np.zeros(len(fa))
 
     def raise_bound(fields, balls):
-        bound = maximal[fields]
         hats = fhat[fields]
-        for k in balls:
-            if sizes[k] == 1:
-                np.maximum(bound, fa[fields], out=bound)
-                continue
-            average = ws.inverse(ws.forward((keys <= radii[k]).astype(float)) * hats)
-            average /= sizes[k]
-            np.maximum(bound, average, out=bound)
-        maximal[fields] = bound
+
+        def lane(first):
+            bound = maximal[fields]
+            for k in balls[first::2]:
+                if sizes[k] == 1:
+                    np.maximum(bound, fa[fields], out=bound)
+                    continue
+                average = ws.inverse(ws.forward((keys <= radii[k]).astype(float)) * hats)
+                average /= sizes[k]
+                np.maximum(bound, average, out=bound)
+            return bound
+        maximal[fields] = np.maximum(*_two_lanes(lane, 2))
 
     def verify(j, budget):
         """Raise ``ratios[j]`` to its maximum; False if the budget ran out."""
@@ -665,7 +742,8 @@ def radial_majorant_defects(phi: ScalarField, values) -> np.ndarray:
         if not pending.size:
             break
         raise_bound(pending, balls)
-        pending = np.array([j for j in pending if not verify(j, budget)], dtype=int)
+        done = _two_lanes(lambda n: verify(pending[n], budget), pending.size)
+        pending = pending[np.logical_not(done)]
         budget = None  # with every ball in the bound, verify to the end
     return ratios.reshape(batch)
 

@@ -643,17 +643,19 @@ class TestOperatorConstant:
         p = make_exponent("radial-log", (2.5, 0.5), g)
         stack = 8 * (tg.steps + 1) * 3 * 16**3
         transport = mild_solver._transport_hat
-        calls = []
+        calls, started = [], []
 
         def counting(u, ws, v=None):
             calls.append(v is not None)
             return transport(u, ws, v)
 
-        def no_helper(*args, **kwargs):
-            raise AssertionError("the estimate started a helper thread")
+        class CountingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
 
         monkeypatch.setattr(mild_solver, "_transport_hat", counting)
-        monkeypatch.setattr(mild_solver, "ThreadPoolExecutor", no_helper)
+        monkeypatch.setattr(threading, "Thread", CountingThread)
         tracemalloc.start()
         try:
             estimate_bilinear_constant("thm1", p, None, tg, ws, trials=3)
@@ -661,6 +663,7 @@ class TestOperatorConstant:
         finally:
             tracemalloc.stop()
         assert sorted(calls) == [False] * 6 + [True] * 3  # 2 diagonal, 1 cross per trial
+        assert len(started) == 1  # the trials run two at a time
         assert peak < 0.5 * stack, peak / stack
 
     def test_bad_trial_count_rejected(self):
@@ -677,6 +680,15 @@ class TestOperatorConstant:
         g, tg = torus(16), TimeGrid(1.0, 16)
         p = make_exponent("radial-log", (2.5, 0.5), g)
         c = estimate_bilinear_constant("thm1", p, None, tg, make_workspace(g), trials=1, seed=70)
+        assert c > 1e-3
+
+    def test_a_trial_pair_does_not_alias_away_on_a_coarse_grid(self):
+        # on 8 points per axis seed 13 drew the modes (2,2,2) and (2,-2,2),
+        # whose sum (4,0,4) and difference (0,4,0) lie where every derivative
+        # symbol is zero, so the transport aliased away and c_B read 3.2e-17
+        g, tg = torus(8), TimeGrid(1.0, 16)
+        p = make_exponent("radial-log", (2.5, 0.5), g)
+        c = estimate_bilinear_constant("thm1", p, None, tg, make_workspace(g), trials=1, seed=13)
         assert c > 1e-3
 
     def test_workspace_must_be_a_3d_torus(self, monkeypatch):

@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -38,6 +42,7 @@ from varns.operators import (
     _ball_reach,
     _fast_box,
     _transport_hat,
+    _two_lanes,
     duhamel_frames,
 )
 
@@ -264,6 +269,31 @@ class TestStackedTransforms:
         for j in range(3):
             assert got[j] == radial_majorant_defect(phi, ScalarField(stack[j], g))
 
+    def test_two_lane_cores_are_deterministic(self):
+        # seven fields split 4/3 or otherwise between the lanes; every field's
+        # result must be its own per-field call, on every run
+        rng = np.random.default_rng(23)
+        box = GridSpec(3, (6.0,) * 3, (12, 10, 12), TRUNCATED, (-3.0,) * 3)
+        g = GridSpec(3, (8.0,) * 3, (16,) * 3, PERIODIC, (-4.0,) * 3)
+        phi = ScalarField(np.exp(-((radial_distance(g) / 0.7) ** 2)), g)
+        radii = (0.3, 1.2, 3.0)
+        cores = [
+            (rng.standard_normal((7,) + box.shape),
+             lambda v: maximal_function_stack(v, box, radii),
+             lambda f: maximal_function(ScalarField(f, box), radii).values),
+            (rng.standard_normal((7,) + box.shape),
+             lambda v: riesz_potential_stack(v, box, 1.0),
+             lambda f: riesz_potential_direct(ScalarField(f, box), 1.0).values),
+            (np.stack([smooth_random(g, 40 + j, modes=2).values for j in range(7)]),
+             lambda v: radial_majorant_defects(phi, v),
+             lambda f: radial_majorant_defect(phi, ScalarField(f, g))),
+        ]
+        for stack, core, single in cores:
+            first = core(stack)
+            assert np.array_equal(core(stack), first)
+            for j in range(7):
+                assert np.array_equal(first[j], single(stack[j]))
+
     def test_stacks_must_end_in_the_grid_shape(self):
         g = GridSpec(1, (4.0,), (16,), TRUNCATED, (0.0,))
         with pytest.raises(ValueError, match="shape"):
@@ -277,6 +307,84 @@ class TestStackedTransforms:
         assert make_workspace(g).workers == 1
         monkeypatch.setenv("VARNS_THREADS", "2")
         assert make_workspace(g).workers == 2
+
+
+class TestTwoLanes:
+    def test_results_come_back_in_index_order(self):
+        def job(i):
+            time.sleep(0.002 * (9 - i))  # later jobs finish sooner
+            return i * i
+        assert _two_lanes(job, 9) == [i * i for i in range(9)]
+
+    def test_every_job_runs_once_under_contention(self):
+        # four maps at once, eight lanes on fewer cores, with thread switches
+        # forced often: a lost update of the shared counter would run a job
+        # twice or skip one
+        interval, count = sys.getswitchinterval(), 2000
+        ran, results = [[] for _ in range(4)], [None] * 4
+
+        def run_map(m):
+            def job(i):
+                ran[m].append(i)
+                return i
+            results[m] = _two_lanes(job, count)
+        sys.setswitchinterval(1e-6)
+        try:
+            maps = [threading.Thread(target=run_map, args=(m,)) for m in range(4)]
+            for t in maps:
+                t.start()
+            for t in maps:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in maps)
+        assert all(sorted(r) == list(range(count)) for r in ran)
+        assert results == [list(range(count))] * 4
+
+    @pytest.mark.parametrize("lane", ["caller", "helper"])
+    def test_an_error_in_either_lane_reaches_the_caller(self, lane):
+        main, meet = threading.get_ident(), threading.Barrier(2, timeout=10)
+        started, finished = [], []
+
+        def job(i):
+            started.append(i)
+            if i < 2:
+                meet.wait()  # jobs 0 and 1 run at once, one on each lane
+            if (threading.get_ident() == main) == (lane == "caller"):
+                raise KeyError(lane)
+            time.sleep(0.05)
+            finished.append(i)
+
+        before = threading.active_count()
+        with pytest.raises(KeyError, match=lane):
+            _two_lanes(job, 6)
+        assert threading.active_count() == before
+        # the other lane finished its job before the error was raised, and
+        # neither took another after it
+        assert len(finished) == len(started) - 1 < 6
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_a_count_below_two_starts_no_thread(self, count, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a helper thread was started")
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        assert _two_lanes(lambda i: i + 1, count) == list(range(1, count + 1))
+
+    def test_the_callers_error_state_reaches_the_helper(self):
+        main, meet = threading.get_ident(), threading.Barrier(2, timeout=10)
+        seen = {}
+
+        def job(i):
+            meet.wait()
+            seen[threading.get_ident() == main] = np.geterr()
+            with pytest.raises(FloatingPointError):
+                np.divide(np.ones(2), 0.0)
+
+        with np.errstate(all="raise"):
+            _two_lanes(job, 2)
+        assert seen[False] == {"divide": "raise", "over": "raise",
+                               "under": "raise", "invalid": "raise"}
+        assert seen[True] == seen[False]
 
 
 class TestHeatFlow:
