@@ -21,6 +21,7 @@ import numpy as np
 
 from ..exponents import ExponentField, make_exponent, scale_exponent
 from ..fields import PERIODIC, TRUNCATED, GridSpec, ScalarField, as_count, radial_distance
+from ..mild_solver import _physical_ram
 from ..operators import (
     default_radius_ladder,
     grad_heat_kernel_defect,
@@ -46,7 +47,12 @@ class CampaignElementError(RuntimeError):
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """One falsification run: corpus, refinement ladder, exponents, bound."""
+    """One falsification run: corpus, refinement ladder, exponents, bound.
+
+    A ladder whose finest level cannot fit in physical RAM is refused, before
+    any allocation: that level holds at least its float64 corpus, and with a
+    stacked operator also its stacked copy, its ``|f|`` and the output stack.
+    """
 
     target: str
     corpus_size: int
@@ -78,8 +84,16 @@ class CampaignConfig:
         specs = tuple((str(tag), tuple(float(v) for v in params))
                       for tag, params in self.exponent_specs)
         object.__setattr__(self, "exponent_specs", specs)
-        if _TARGETS[self.target].exponent_specs and not specs:
+        record = _TARGETS[self.target]
+        if record.exponent_specs and not specs:
             raise ValueError(f"target {self.target!r} needs at least one exponent spec")
+        stacks = 0 if record.scan else 4 if record.stacked else 1
+        finest = max(self.grids, key=lambda g: math.prod(g.shape))
+        need, ram = 8 * stacks * self.corpus_size * math.prod(finest.shape), _physical_ram()
+        if ram is not None and need > ram:
+            raise ValueError(f"the finest level of this {self.target} campaign, on the "
+                             f"{finest.shape} grid, needs at least {need} bytes, more than "
+                             f"the {ram} bytes of RAM available")
 
     @property
     def refinement_levels(self) -> int:

@@ -52,8 +52,9 @@ def build_campaign_config(doc: dict, overrides: dict | None = None) -> CampaignC
     doc = _merge(doc, overrides)
     if "target" not in doc:
         raise ValueError("campaign config needs a 'target' key")
-    levels = doc.get("refinement_levels", 3)
-    cfg = default_campaign_config(doc["target"], refinement_levels=levels)
+    levels = as_count(doc.get("refinement_levels", 3), "refinement_levels")
+    # one level: only the ladder set below is checked against the RAM
+    cfg = default_campaign_config(doc["target"], refinement_levels=1)
     updates = {}
     for key in ("corpus_size", "seed", "corpus_kind"):
         if key in doc:
@@ -68,8 +69,9 @@ def build_campaign_config(doc: dict, overrides: dict | None = None) -> CampaignC
         updates["grids"] = tuple(grid_from_doc(g) for g in doc["grids"])
         if "refinement_levels" in doc and len(updates["grids"]) != levels:
             raise ValueError(f"{len(updates['grids'])} grids for {levels} refinement levels")
-    elif "base_grid" in doc:
-        updates["grids"] = _grid_ladder(grid_from_doc(doc["base_grid"]), levels)
+    else:
+        base = grid_from_doc(doc["base_grid"]) if "base_grid" in doc else cfg.grids[0]
+        updates["grids"] = _grid_ladder(base, levels)
     return dataclasses.replace(cfg, **updates)
 
 

@@ -32,18 +32,16 @@ formed once per solve.
 
 A sweep's iterate forcing ``force(k) - P div(u (x) u)`` never reads the
 accumulator and reads only the old ``u[k]``, which the calling thread
-overwrites only after node ``k`` is handed out.  So one helper thread forms
-the next nodes while the calling thread accumulates, inverts, checks,
-measures and writes (:func:`_ahead`), and after the last sweep it transforms
-the solution's frames while the calling thread measures their divergence.
-Either thread forms a node with the same arithmetic, so every output is bit
-for bit that of a serial sweep.  The helper lives for one call of
-:func:`picard_solve`.  The ``c_B`` estimate measures its independent trials
-two at a time, on one helper of its own
-(:func:`~varns.operators._two_lanes`), and takes their maximum, which does
-not depend on the order.  :func:`bilinear_term`, the stacked reference of a
-sweep, and the ``e0`` streams run on the calling thread alone.
-``VARNS_THREADS`` sets the FFT workers of each transform.
+overwrites only after node ``k`` is handed out.  So each sweep streams these
+node spectra through the two lanes of :class:`~varns.operators._Lanes`,
+at most two nodes ahead: the helper forms the next nodes while the calling
+thread accumulates, inverts, checks, measures and writes.  The divergence
+defect of the solution, and the ``c_B`` trials, are maps on the same two
+lanes (:func:`~varns.operators._two_lanes`) whose results are merged by a
+maximum.  Either lane forms a node or a trial with the same arithmetic, so
+every output is bit for bit that of one thread.  :func:`bilinear_term`, the
+stacked reference of a sweep, and the ``e0`` streams run on the calling
+thread alone.  ``VARNS_THREADS`` sets the FFT workers of each transform.
 
 The ``thm2`` gate also scans shorter horizons.  ``e0`` is causal, so on
 ``[0, t_k]`` it is the first ``k`` time cells of the one stream the gate
@@ -52,10 +50,9 @@ stream's norm trace.
 """
 from __future__ import annotations
 
-import contextvars
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -77,6 +74,7 @@ from .fields import (
 from .operators import (
     SpectralWorkspace,
     _k_dot,
+    _Lanes,
     _relative_divergence_hat,
     _transport_hat,
     _two_lanes,
@@ -303,54 +301,6 @@ def bilinear_term(u: SpaceTimeField, ws: SpectralWorkspace) -> SpaceTimeField:
     return SpaceTimeField(data, u.tg, u.grid)
 
 
-def _ahead(job, nodes: int, pool: ThreadPoolExecutor):
-    """``hat_at_node`` of ``job(i)`` for nodes ``0 .. nodes - 1``, handed out
-    in order and formed by whichever of the caller and ``pool``'s one thread
-    is free.
-
-    The helper is given the first two nodes not yet taken at each hand-out,
-    so it forms them while the caller advances its accumulator, inverts and
-    measures, and has the next one queued when it finishes.  A node whose
-    job has not started when it is needed (node 0, or any node while the
-    helper waits for a core) is formed by the calling thread instead.  If
-    the helper is still forming the node the caller needs, the caller forms
-    the first node not yet taken meanwhile, so the faster stage takes work
-    from the slower one instead of waiting for it.  A job for node ``k``
-    starts only after every earlier node has been taken, and ends before
-    ``k`` is handed out.  Each job runs in a copy of the submitting context,
-    so it keeps the caller's numpy error state, and an error it raises
-    reaches the caller when its node is handed out, or when the caller
-    forms it.  At most two nodes are being formed at any time, one per
-    thread.  Node 0 starts the stream over.
-    """
-    queued = []  # (node, future) on the helper, in node order
-    formed = {}  # node -> spectrum this thread formed ahead of its turn
-    free = 0  # the first node neither queued nor formed
-
-    def hat(i: int) -> np.ndarray:
-        nonlocal free
-        if i == 0:
-            free = 0  # a new pass; the last one took every node
-        if i in formed:
-            out = formed.pop(i)
-        elif queued and queued[0][0] == i and not queued[0][1].cancel():
-            future = queued.pop(0)[1]
-            if not future.done() and free < nodes:
-                formed[free] = job(free)
-                free += 1
-            out = future.result()
-        else:
-            if queued and queued[0][0] == i:
-                queued.pop(0)
-            free = max(free, i + 1)
-            out = job(i)
-        while len(queued) < 2 and free < nodes:
-            queued.append((free, pool.submit(contextvars.copy_context().run, job, free)))
-            free += 1
-        return out
-    return hat
-
-
 def _iterate_hat(u: np.ndarray, force, ws: SpectralWorkspace):
     """Node spectrum of the next iterate ``e0 - B(u)``: the force spectrum
     (``force`` is a ``hat_at_node`` or ``None``) minus the transport
@@ -472,7 +422,8 @@ def _trial_ratios(regime: str, p: ExponentField, q: float | None, tg: TimeGrid,
     pair of modes, three for two modes.  Node frames of ``u`` are formed
     from the modes as they are measured, so no history is held.  Every
     trial's modes are drawn first, in order from one generator; then the
-    trials are measured two at a time (:func:`~varns.operators._two_lanes`).
+    trials are mapped (:func:`~varns.operators._two_lanes`), and their
+    maximum does not depend on which lane measured which.
     """
     rng = np.random.default_rng(seed)
     grid, nodes = ws.grid, tg.steps + 1
@@ -508,10 +459,9 @@ def estimate_bilinear_constant(regime: str, p: ExponentField, q: float | None,
     :class:`~varns.fields.SeparableField` measured from its modes
     (:func:`_trial_ratios`): three transport spectra, and ``u`` and
     ``B(u,u)`` streamed node by node into their norms, so no history is
-    held.  The trials run two at a time, the calling thread and one helper
-    thread that lives for this call, and the estimate is the same bit for
-    bit as a serial one.  The workspace must be a three-dimensional torus,
-    as a :class:`SolverConfig`'s flow grid is.
+    held.  The trials are mapped on two lanes (:func:`_trial_ratios`).  The
+    workspace must be a three-dimensional torus, as a
+    :class:`SolverConfig`'s flow grid is.
     """
     trials = as_count(trials, "trials")
     if trials < 1:
@@ -603,15 +553,14 @@ def picard_solve(cfg: SolverConfig, c_b: float | None = None, trials: int = 3,
     transform, checks the frame is finite, measures it and its increment,
     and overwrites ``u[i]``.  The residual is that sweep without the write.
 
-    One helper thread, living for this call only, forms the nodes' forcing
-    spectra ahead of this thread (:func:`_ahead`): in each sweep the whole
-    ``force(k) - P div(u[k] (x) u[k])`` from the old ``u[k]``, and last the
-    forward transforms of the solution's frames for its divergence defect.
-    ``e0`` has no transport, so its sweep runs on this thread alone.
-    This thread advances the accumulator, inverts, checks and measures, and
-    forms a node itself when the helper has not started it or is still
-    busy with the one it needs.  Every sweep starts from the data's frame,
-    so node 0's iterate spectrum is formed once per solve.
+    Each iterate and residual sweep opens its own stream of the nodes'
+    ``force(k) - P div(u[k] (x) u[k])`` from the old ``u[k]``, formed by
+    this thread and one helper at most two nodes ahead
+    (:class:`~varns.operators._Lanes`), so the helper is joined when the
+    sweep ends, also when a non-finite frame ends it early.  ``e0`` has no
+    transport, so its sweep runs on this thread alone.  The divergence
+    defect is the largest over the solution's frames, mapped on the same
+    two lanes.
 
     ``disable_bilinear`` switches the transport term off (the linear heat
     limit); ``override_smallness`` lets the run proceed past a failed gate,
@@ -627,48 +576,48 @@ def picard_solve(cfg: SolverConfig, c_b: float | None = None, trials: int = 3,
     force = _force_at_nodes(cfg.force_spec, tg, ws)
     u0_hat = ws.forward(cfg.u0.values)
     u = np.zeros((tg.steps + 1, grid.dimension) + grid.shape)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        size = _trace(cfg)
-        _sweep(u, duhamel_frames(force, tg, ws, u0_hat), "the initial term", size=size)
-        verdict = _smallness(cfg, c_b, size)
-        if not verdict.passed and not override_smallness:
-            raise SmallnessError(
-                f"data norm {verdict.delta:.6e} is not below the contraction "
-                f"threshold {verdict.threshold:.6e}; pass override_smallness=True to force"
-            )
+    size = _trace(cfg)
+    _sweep(u, duhamel_frames(force, tg, ws, u0_hat), "the initial term", size=size)
+    verdict = _smallness(cfg, c_b, size)
+    if not verdict.passed and not override_smallness:
+        raise SmallnessError(
+            f"data norm {verdict.delta:.6e} is not below the contraction "
+            f"threshold {verdict.threshold:.6e}; pass override_smallness=True to force"
+        )
 
-        hat = force
-        if not disable_bilinear:
-            iterate = _iterate_hat(u, force, ws)
-            # u[0] is the data's frame after every sweep, so node 0's spectrum
-            # is the same in each; every sweep reads it, so nothing may write it
-            first = iterate(0)
-            first.flags.writeable = False
-            hat = _ahead(lambda i: first if i == 0 else iterate(i), len(u), pool)
-        norms = [verdict.delta]
-        increments: list[float] = []
-        converged = False
-        residual = 0.0
-        for n in range(1, cfg.max_iters + 1):
-            step, size = _trace(cfg), _trace(cfg)
+    if disable_bilinear:
+        stream = partial(nullcontext, force)
+    else:
+        iterate = _iterate_hat(u, force, ws)
+        # u[0] is the data's frame after every sweep, so node 0's spectrum
+        # is the same in each; every sweep reads it, so nothing may write it
+        first = iterate(0)
+        first.flags.writeable = False
+        stream = partial(_Lanes, lambda i: first if i == 0 else iterate(i), len(u), 2)
+    norms = [verdict.delta]
+    increments: list[float] = []
+    converged = False
+    residual = 0.0
+    for n in range(1, cfg.max_iters + 1):
+        step, size = _trace(cfg), _trace(cfg)
+        with stream() as hat:
             _sweep(u, duhamel_frames(hat, tg, ws, u0_hat), f"iterate {n}", step, size)
-            d = step.norm().value
-            increments.append(d)
-            norms.append(size.norm().value)
-            if d <= cfg.tol_fixedpoint:
-                converged = True
-                break
+        d = step.norm().value
+        increments.append(d)
+        norms.append(size.norm().value)
+        if d <= cfg.tol_fixedpoint:
+            converged = True
+            break
 
-        if not disable_bilinear:
-            # residual of the fixed-point equation, which is also the next increment
-            step = _trace(cfg)
+    if not disable_bilinear:
+        # residual of the fixed-point equation, which is also the next increment
+        step = _trace(cfg)
+        with stream() as hat:
             _sweep(u, duhamel_frames(hat, tg, ws, u0_hat), "the residual", step, write=False)
-            residual = step.norm().value
+        residual = step.norm().value
 
-        div_defect = 0.0
-        spectrum = _ahead(lambda i: ws.forward(u[i]), len(u), pool)
-        for i in range(len(u)):
-            div_defect = max(div_defect, _relative_divergence_hat(spectrum(i), ws))
+    div_defect = max(_two_lanes(lambda i: _relative_divergence_hat(ws.forward(u[i]), ws),
+                                len(u)))
 
     contraction = None
     positive = [(a, b) for a, b in zip(increments, increments[1:]) if a > 0]

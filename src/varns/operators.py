@@ -31,11 +31,12 @@ decides it.  Each kernel gets its own box, so the maximal function groups
 its radii by box and transforms ``|f|`` once per group.  The transforms on
 such a box are pruned: they skip the lines that hold only padding, and
 agree bit for bit with ``rfftn``/``irfftn`` on the whole box.  The fields of
-a stack are independent, so their transforms run two at a time, on the
-calling thread and one helper (:func:`_two_lanes`), and every merge of their
-results is a maximum, so no bit depends on which thread ran what.  Kernel
-quadrature (the fractional integral) uses midpoint weights off the diagonal
-and a closed-form cell integral on it.
+a stack are independent, so their transforms are mapped on two lanes, the
+calling thread and one helper (:func:`_two_lanes`; :class:`_Lanes` also
+streams the solver's sweeps), and every merge of their results is a maximum
+or a write to the field's own slot, so no bit depends on which lane ran
+what.  Kernel quadrature (the fractional integral) uses midpoint weights off
+the diagonal and a closed-form cell integral on it.
 """
 from __future__ import annotations
 
@@ -81,49 +82,84 @@ def worker_count() -> int:
     return workers
 
 
-def _two_lanes(job, count: int) -> list:
-    """``[job(0), ..., job(count - 1)]``, computed by the calling thread and
-    one helper thread.
+class _Lanes:
+    """``job(0), ..., job(count - 1)`` formed by the calling thread and one
+    helper thread, and handed to the caller in index order: inside
+    ``with``, ``lanes(i)`` returns ``job(i)``, asked for in order.
 
-    Both lanes take indices in order from one counter under a lock, and each
-    result is stored at its own index, so the list does not depend on which
-    lane ran which job.  Jobs on the helper run in a copy of the caller's
-    context, so they keep its numpy error state.  An error raised in either
-    lane stops both from taking more jobs, and reaches the caller once both
-    have stopped; the helper never outlives the call.  A count below 2
-    starts no thread.
+    Both lanes take indices in order from one counter under a lock, and
+    neither takes one ``window`` or more past the last index handed out
+    (no limit by default).  The caller is handed a finished job at once;
+    otherwise it forms the next free index itself, which is ``i`` when
+    nobody has taken it, until the helper has finished ``i``, and waits
+    when the window is full.  Each result goes to its own index only, so
+    no output depends on which lane ran which job.  The helper starts on
+    entry, in a copy of the caller's context, so its jobs keep the
+    caller's numpy error state, and it is joined on exit.  An error raised
+    in either lane stops both from taking more jobs, and is raised to the
+    caller once the helper has been joined.  A count below 2 starts no
+    thread.
     """
-    results = [None] * count
-    if count < 2:
-        for i in range(count):
-            results[i] = job(i)
-        return results
-    lock = threading.Lock()
-    taken, errors = 0, []
 
-    def lane():
-        nonlocal taken
+    def __init__(self, job, count: int, window: int | None = None):
+        self.job, self.count = job, count
+        self.window = count if window is None else window
+        self.cv = threading.Condition()
+        self.taken = self.handed = 0
+        self.done, self.errors, self.closed = {}, {}, False  # index -> result or error
+        self.helper = None
+
+    def __enter__(self) -> _Lanes:
+        if self.count >= 2:
+            self.helper = threading.Thread(target=contextvars.copy_context().run,
+                                           args=(self._lane, self._stopped))
+            self.helper.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        with self.cv:
+            self.closed = True
+            self.cv.notify_all()
+        if self.helper is not None:
+            self.helper.join()
+
+    def _stopped(self) -> bool:
+        return bool(self.errors) or self.closed or self.taken == self.count
+
+    def _lane(self, until) -> None:
+        """Form the next free job until ``until()`` holds, waiting while
+        none is free."""
+        def free():
+            return not self._stopped() and self.taken < self.handed + self.window
         while True:
-            with lock:
-                if errors or taken == count:
+            with self.cv:
+                self.cv.wait_for(lambda: until() or free())
+                if until():
                     return
-                i, taken = taken, taken + 1
+                i, self.taken = self.taken, self.taken + 1
             try:
-                results[i] = job(i)
+                out, into = self.job(i), self.done
             except BaseException as exc:
-                with lock:
-                    errors.append(exc)
-                return
+                out, into = exc, self.errors
+            with self.cv:
+                into[i] = out
+                self.cv.notify_all()
 
-    helper = threading.Thread(target=contextvars.copy_context().run, args=(lane,))
-    helper.start()
-    try:
-        lane()
-    finally:
-        helper.join()
-    if errors:
-        raise errors[0]
-    return results
+    def __call__(self, i: int):
+        self._lane(lambda: i in self.done or self.errors)
+        if self.errors:
+            self.__exit__()
+            raise next(iter(self.errors.values()))  # the first error raised
+        with self.cv:
+            self.handed = i + 1
+            self.cv.notify_all()
+            return self.done.pop(i)
+
+
+def _two_lanes(job, count: int) -> list:
+    """``[job(0), ..., job(count - 1)]``, mapped by :class:`_Lanes`."""
+    with _Lanes(job, count) as lanes:
+        return [lanes(i) for i in range(count)]
 
 
 @dataclass(frozen=True)
@@ -434,9 +470,8 @@ def maximal_function_stack(values, grid: GridSpec, radii) -> np.ndarray:
     wrap-around.  Per group, largest box first, ``|f|`` is transformed field
     by field into one spectrum and each ball mask once; the inverse
     transforms run field by field to bound the memory.  The fields'
-    transforms, and per radius their inverses, run two at a time
-    (:func:`_two_lanes`); each field's maximum is its own, so the result
-    does not depend on which lane ran it.
+    transforms, and per radius their inverses, are mapped on two lanes
+    (:func:`_two_lanes`), each into its own field's maximum.
     """
     radii = [float(r) for r in radii]
     if not radii:
@@ -504,7 +539,7 @@ def _diagonal_cell_integral(grid: GridSpec, sigma: float) -> float:
 def riesz_potential_stack(values, grid: GridSpec, sigma: float) -> np.ndarray:
     """:func:`riesz_potential_direct` of every field in a ``(..., *grid.shape)``
     stack; the kernel is built and transformed once per call, and the
-    fields are convolved two at a time (:func:`_two_lanes`), each in its
+    fields are convolved on two lanes (:func:`_two_lanes`), each in its
     own spectrum, to bound the memory."""
     if grid.topology != TRUNCATED:
         raise ValueError("the fractional integral runs on truncated boxes")
@@ -616,11 +651,10 @@ def radial_majorant_defects(phi: ScalarField, values) -> np.ndarray:
       The budget costs about a fifteenth of those FFT balls (measured at
       24^3 and 48^3 on a 2-core x86 box), so a rough or sparse field costs
       about what an all-shell pass does.
-    - **Two lanes.**  The bound's balls are split between the calling
-      thread and one helper, each raising its own copy of the bound, and
-      the copies are merged by their maximum; the pending fields are
-      verified two at a time, each writing only its own ratio
-      (:func:`_two_lanes`).  So no bit depends on which thread ran what.
+    - **Two lanes** (:func:`_two_lanes`).  The bound's balls are split
+      between the lanes, each raising its own copy of the bound, and the
+      copies are merged by their maximum; the pending fields are verified
+      on both lanes, each writing only its own ratio.
 
     A point is live when its support ball meets the support of ``f``,
     counted exactly by rounding an FFT convolution of the indicator of

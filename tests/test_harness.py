@@ -50,6 +50,7 @@ from varns.harness import (
     write_exponent,
     write_field,
 )
+from varns.harness import campaigns
 from varns.harness.campaigns import TARGETS
 from varns.harness.cli import main
 from varns.harness.configs import exponent_from_doc, grid_from_doc
@@ -355,6 +356,34 @@ class TestCampaignConfig:
         assert dataclasses.replace(good, grids=good.grids[:2]).refinement_levels == 2
         with pytest.raises(ValueError, match="exponent spec"):
             dataclasses.replace(good, exponent_specs=())
+
+    def test_a_ladder_too_large_for_ram_fails_before_allocating(self, monkeypatch, capsys):
+        # maximal's sixth level is a 512^3 grid: its five corpus fields, their
+        # stacked copy, |f| and the output stack hold 4 * 5 * 512^3 float64s.
+        # Only the configs are built here, never a level
+        import tracemalloc
+        need = 4 * 5 * 8 * 512**3
+        monkeypatch.setattr(campaigns, "_physical_ram", lambda: need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"\(512, 512, 512\) grid") as info:
+                default_campaign_config("maximal", refinement_levels=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert f"at least {need} bytes" in str(info.value)
+        assert f"{need - 1} bytes of RAM" in str(info.value)
+        assert main(["campaign", "--target", "maximal", "--levels", "6"]) == 2
+        assert "(512, 512, 512) grid" in capsys.readouterr().err
+        # the same levels on a coarser base grid fit, and so does the ladder
+        # at exactly the RAM
+        base = {"dimension": 3, "extents": [8.0] * 3, "resolution": [4] * 3}
+        doc = {"target": "maximal", "refinement_levels": 6, "base_grid": base}
+        assert build_campaign_config(doc).grids[-1].resolution == (128,) * 3
+        monkeypatch.setattr(campaigns, "_physical_ram", lambda: need)
+        cfg = default_campaign_config("maximal", refinement_levels=6)
+        assert cfg.grids[-1].resolution == (512,) * 3
 
     def test_defaults_build_for_every_target(self):
         for target in TARGETS:

@@ -1,7 +1,6 @@
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -42,7 +41,7 @@ from varns import (
 )
 from varns import mild_solver
 from varns.fields import _wave_argument
-from varns.operators import SpectralWorkspace
+from varns.operators import SpectralWorkspace, _Lanes
 
 TWO_PI = 2.0 * np.pi
 
@@ -470,11 +469,16 @@ class TestBilinearTerm:
         ws = make_workspace(g)
         u = taylor_green_history(g, tg)
 
-        def no_helper(*args, **kwargs):
-            raise AssertionError("bilinear_term started a helper thread")
+        started = []
 
-        monkeypatch.setattr(mild_solver, "ThreadPoolExecutor", no_helper)
+        class CountingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", CountingThread)
         out = bilinear_term(u, ws)
+        assert started == []
         want = duhamel_accumulate(lambda i: mild_solver._transport_hat(u.data[i], ws), tg, ws)
         assert out.data.tobytes() == want.tobytes()
 
@@ -947,8 +951,12 @@ class TestFixedPoint:
             return hat
 
         monkeypatch.setattr(ms, "_transport_hat", poisoned)
+        # the sweep stops at node 1, with the helper forming the nodes after
+        # it: the helper is joined before the error leaves the sweep
+        before = threading.active_count()
         with pytest.raises(PicardBlowupError, match="iterate 1 produced non-finite"):
             ms.picard_solve(cfg, c_b=1e-2)
+        assert threading.active_count() == before
 
     def test_runs_are_deterministic(self):
         g = torus(12)
@@ -1037,44 +1045,43 @@ class TestStreamedSweep:
         assert res.residual == 0.0
 
 
-def transport_ahead(u, ws, pool):
+def transport_ahead(u, ws):
     """The transport spectra of a history stack through the solver's
-    scheduler; ``_transport_hat`` is looked up per node, so a test may
-    patch it."""
-    return mild_solver._ahead(lambda i: mild_solver._transport_hat(u[i], ws), len(u), pool)
+    stream; ``_transport_hat`` is looked up per node, so a test may patch
+    it."""
+    return _Lanes(lambda i: mild_solver._transport_hat(u[i], ws), len(u), 2)
 
 
 class TestTransportPipeline:
     @pytest.mark.parametrize("force", [None, "sampled"])
     def test_prefetched_stream_matches_the_serial_spectra(self, force):
         # each node is handed out, then written over as a sweep does; each
-        # stream runs twice, as picard_solve reuses its stream every sweep.
-        # A force's node spectrum is its modes' transforms summed, the same
-        # bits on every call, and its frame's transform up to rounding
+        # stream runs twice, as picard_solve opens one per sweep.  A force's
+        # node spectrum is its modes' transforms summed, the same bits on
+        # every call, and its frame's transform up to rounding
         g, tg = torus(8), TimeGrid(1.0, 8)
         ws = make_workspace(g)
         u = taylor_green_history(g, tg).data.copy()
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            force_at = None
-            if force is not None:
-                sampled = modulated_force(g, tg)
-                force_at = mild_solver._force_at_nodes(sampled, tg, ws)
-                for i in range(tg.steps + 1):
-                    want = ws.forward(sampled.frame(i))
-                    got = force_at(i)
-                    assert got.tobytes() == force_at(i).tobytes()
-                    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        force_at = None
+        if force is not None:
+            sampled = modulated_force(g, tg)
+            force_at = mild_solver._force_at_nodes(sampled, tg, ws)
+            for i in range(tg.steps + 1):
+                want = ws.forward(sampled.frame(i))
+                got = force_at(i)
+                assert got.tobytes() == force_at(i).tobytes()
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
-            def serial(u):
-                b = [mild_solver._transport_hat(u[i], ws) for i in range(len(u))]
-                return b, [-x if force_at is None else force_at(i) - x for i, x in enumerate(b)]
+        def serial(u):
+            b = [mild_solver._transport_hat(u[i], ws) for i in range(len(u))]
+            return b, [-x if force_at is None else force_at(i) - x for i, x in enumerate(b)]
 
-            streams = (transport_ahead(u, ws, pool),
-                       mild_solver._ahead(mild_solver._iterate_hat(u, force_at, ws),
-                                          len(u), pool))
-            for _ in range(2):
-                for k, hat in enumerate(streams):
-                    want = serial(u.copy())[k]
+        streams = (lambda: transport_ahead(u, ws),
+                   lambda: _Lanes(mild_solver._iterate_hat(u, force_at, ws), len(u), 2))
+        for _ in range(2):
+            for k, stream in enumerate(streams):
+                want = serial(u.copy())[k]
+                with stream() as hat:
                     for i in range(tg.steps + 1):
                         assert hat(i).tobytes() == want[i].tobytes()
                         u[i] = 0.9 * u[i] + 0.1
@@ -1098,8 +1105,7 @@ class TestTransportPipeline:
 
         want = [transport(u[i], ws).tobytes() for i in range(tg.steps + 1)]
         monkeypatch.setattr(mild_solver, "_transport_hat", dawdling)
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            hat = transport_ahead(u, ws, pool)
+        with transport_ahead(u, ws) as hat:
             got = [hat(i).tobytes() for i in range(tg.steps + 1)]
         assert got == want
         # every node formed once, the caller's in order and more than node 0
@@ -1108,9 +1114,8 @@ class TestTransportPipeline:
         assert mine == sorted(mine) and len(mine) >= 3
 
     def test_helper_jobs_keep_the_callers_error_state(self, monkeypatch):
-        # after each node is handed out, wait until the helper has formed the
-        # next one, so the caller never forms a node ahead of its turn and
-        # every node past 0 runs on the helper
+        # before each node is asked for, wait until it has been formed: the
+        # caller then never forms a node, and every node runs on the helper
         g, tg = torus(8), TimeGrid(1.0, 4)
         ws = make_workspace(g)
         u = taylor_green_history(g, tg).data
@@ -1124,15 +1129,13 @@ class TestTransportPipeline:
             return hat
 
         monkeypatch.setattr(mild_solver, "_transport_hat", recording)
-        with ThreadPoolExecutor(max_workers=1) as pool, np.errstate(all="raise"):
-            hat = transport_ahead(u, ws, pool)
+        with np.errstate(all="raise"), transport_ahead(u, ws) as hat:
             for i in range(tg.steps + 1):
+                with hat.cv:
+                    assert hat.cv.wait_for(lambda: i in hat.done, timeout=60)
                 hat(i)
-                deadline = time.monotonic() + 60
-                while len(seen) < min(i + 2, tg.steps + 1) and time.monotonic() < deadline:
-                    time.sleep(1e-3)
         assert sorted(seen) == list(range(tg.steps + 1))
-        assert all(seen[i][0] != threading.get_ident() for i in range(1, tg.steps + 1))
+        assert all(thread != threading.get_ident() for thread, _ in seen.values())
         assert all(set(err.values()) == {"raise"} for _, err in seen.values())
 
     @pytest.mark.parametrize("caller", ["initial_term", "smallness_check", "picard_solve"])

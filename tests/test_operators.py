@@ -41,6 +41,7 @@ from varns.operators import (
     _alias_free_transforms,
     _ball_reach,
     _fast_box,
+    _Lanes,
     _transport_hat,
     _two_lanes,
     duhamel_frames,
@@ -385,6 +386,39 @@ class TestTwoLanes:
         assert seen[False] == {"divide": "raise", "over": "raise",
                                "under": "raise", "invalid": "raise"}
         assert seen[True] == seen[False]
+
+    def test_a_stream_hands_out_in_order_at_most_two_ahead(self):
+        # thread switches forced often, and jobs and a caller that pause a
+        # random few microseconds: each node is formed once and comes back
+        # in order, and whenever the caller is between hand-outs at most two
+        # nodes have started that it has not been handed.  Nodes start in
+        # order, so the count started is the highest node started plus one
+        interval, count = sys.getswitchinterval(), 1000
+        pauses = np.random.default_rng(0).uniform(0.0, 20e-6, size=(2, count))
+        started, ahead, got = [], [], []
+
+        def job(i):
+            started.append(i)
+            time.sleep(pauses[0, i])
+            return i * i
+
+        def consume():
+            with _Lanes(job, count, 2) as stream:
+                for i in range(count):
+                    ahead.append(len(started) - i)
+                    got.append(stream(i))
+                    time.sleep(pauses[1, i])
+        caller = threading.Thread(target=consume)
+        sys.setswitchinterval(1e-6)
+        try:
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert sorted(started) == list(range(count))
+        assert got == [i * i for i in range(count)]
+        assert max(ahead) <= 2
 
 
 class TestHeatFlow:
