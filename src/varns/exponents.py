@@ -174,9 +174,7 @@ def log_holder_constants(p: ExponentField, pair_budget: int = 200_000,
     recip = 1.0 / p.samples.ravel()
     n = pts.shape[0]
     total_pairs = n * (n - 1) // 2
-    if total_pairs == 0:
-        c_local, evaluated = 0.0, 0
-    elif total_pairs <= pair_budget:
+    if total_pairs <= pair_budget:
         ii, jj = np.triu_indices(n, k=1)
         dist = _pair_distance(p.grid, pts[ii], pts[jj])
         c_local = float(np.max(np.abs(recip[ii] - recip[jj]) * np.log(np.e + 1.0 / dist)))

@@ -1,11 +1,12 @@
 """Seeded test-field corpora.
 
-Every random parameter is drawn in fractional box coordinates, and no draw
-depends on the grid, so regenerating a corpus on a refined grid yields the
-same analytic fields sampled more finely.  A divergence-free field is a sum
-of the transverse plane waves the solver's ``c_B`` trials are made of.  All
-draws come from a single generator seeded by the caller: identical (kind,
-size, grid shape family, seed) means identical fields bit-for-bit.
+Each kind draws a feature's parameters in fractional box coordinates and
+adds its samples at once, as a ``divergence-free`` field adds the transverse
+plane waves the solver's ``c_B`` trials are made of.  No draw depends on the
+grid, so regenerating a corpus on a refined grid yields the same analytic
+fields sampled more finely.  All draws come from a single generator seeded
+by the caller: identical (kind, size, grid shape family, seed) means
+identical fields bit-for-bit.
 """
 from __future__ import annotations
 
@@ -21,8 +22,6 @@ from ..fields import (
     _wave_argument,
 )
 
-KINDS = ("smooth-decaying", "plane-wave-mix", "indicator-union", "divergence-free")
-
 # bump centers stay within 10% of the box center and widths below 6.5% of
 # the shortest extent, which keeps the boundary-shell values under 1e-13
 # even on the coarsest grids
@@ -30,78 +29,56 @@ _BUMP_CENTER_SPAN = 0.10
 _BUMP_WIDTH_RANGE = (0.05, 0.065)
 
 
-def _draw_bumps(rng: np.random.Generator, dimension: int) -> list[dict]:
-    count = int(rng.integers(2, 5))
-    bumps = []
-    for _ in range(count):
-        bumps.append({
-            "center_frac": rng.uniform(-_BUMP_CENTER_SPAN, _BUMP_CENTER_SPAN,
-                                       size=dimension),
-            "width_frac": rng.uniform(*_BUMP_WIDTH_RANGE),
-            "amp": rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0]),
-        })
-    return bumps
-
-
-def _eval_bumps(bumps: list[dict], grid: GridSpec) -> np.ndarray:
-    coords = grid.coords()
-    lmin = min(grid.extents)
-    out = np.zeros(grid.shape)
-    for bump in bumps:
-        r2 = 0.0
-        for axis in range(grid.dimension):
-            c = grid.center[axis] + bump["center_frac"][axis] * grid.extents[axis]
-            r2 = r2 + (coords[axis] - c) ** 2
-        width = bump["width_frac"] * lmin
-        out += bump["amp"] * np.exp(-r2 / width**2)
+def _bumps(rng: np.random.Generator, grid: GridSpec) -> np.ndarray:
+    """Two to four signed Gaussian bumps near the box center."""
+    coords, out = grid.coords(), np.zeros(grid.shape)
+    for _ in range(int(rng.integers(2, 5))):
+        center = rng.uniform(-_BUMP_CENTER_SPAN, _BUMP_CENTER_SPAN, size=grid.dimension)
+        width = rng.uniform(*_BUMP_WIDTH_RANGE) * min(grid.extents)
+        amp = rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0])
+        r2 = sum((coords[axis] - (grid.center[axis] + center[axis] * grid.extents[axis])) ** 2
+                 for axis in range(grid.dimension))
+        out += amp * np.exp(-r2 / width**2)
     return out
 
 
-def _draw_waves(rng: np.random.Generator, dimension: int,
-                count_range: tuple[int, int] = (3, 6)) -> list[dict]:
-    count = int(rng.integers(*count_range))
-    waves = []
-    for _ in range(count):
+def _waves(rng: np.random.Generator, grid: GridSpec,
+           count_range: tuple[int, int] = (3, 6)) -> np.ndarray:
+    """A sum of cosine plane waves with nonzero integer modes in ``[-3, 3]``."""
+    out = np.zeros(grid.shape)
+    for _ in range(int(rng.integers(*count_range))):
         while True:
-            mode = rng.integers(-3, 4, size=dimension)
+            mode = rng.integers(-3, 4, size=grid.dimension)
             if np.any(mode != 0):
                 break
-        waves.append({
-            "mode": mode,
-            "amp": rng.uniform(0.3, 1.0),
-            "phase": rng.uniform(0.0, 2.0 * np.pi),
-        })
-    return waves
-
-
-def _eval_waves(waves: list[dict], grid: GridSpec) -> np.ndarray:
-    out = np.zeros(grid.shape)
-    for wave in waves:
-        out += wave["amp"] * np.cos(_wave_argument(wave["mode"], wave["phase"], grid))
+        amp = rng.uniform(0.3, 1.0)
+        out += amp * np.cos(_wave_argument(mode, rng.uniform(0.0, 2.0 * np.pi), grid))
     return out
 
 
-def _draw_boxes(rng: np.random.Generator, dimension: int) -> list[dict]:
-    count = int(rng.integers(1, 4))
-    boxes = []
-    for _ in range(count):
-        lo = rng.uniform(0.15, 0.45, size=dimension)
-        width = rng.uniform(0.20, 0.35, size=dimension)
-        boxes.append({"lo_frac": lo, "hi_frac": lo + width})
-    return boxes
-
-
-def _eval_boxes(boxes: list[dict], grid: GridSpec) -> np.ndarray:
-    coords = grid.coords()
-    out = np.zeros(grid.shape, dtype=bool)
-    for box in boxes:
+def _boxes(rng: np.random.Generator, grid: GridSpec) -> np.ndarray:
+    """The indicator of a union of one to three half-open boxes."""
+    coords, out = grid.coords(), np.zeros(grid.shape, dtype=bool)
+    for _ in range(int(rng.integers(1, 4))):
+        lo = rng.uniform(0.15, 0.45, size=grid.dimension)
+        hi = lo + rng.uniform(0.20, 0.35, size=grid.dimension)
         inside = np.ones(grid.shape, dtype=bool)
         for axis in range(grid.dimension):
-            lo = grid.origin[axis] + box["lo_frac"][axis] * grid.extents[axis]
-            hi = grid.origin[axis] + box["hi_frac"][axis] * grid.extents[axis]
-            inside &= (coords[axis] >= lo) & (coords[axis] < hi)
+            x, o, e = coords[axis], grid.origin[axis], grid.extents[axis]
+            inside &= (x >= o + lo[axis] * e) & (x < o + hi[axis] * e)
         out |= inside
     return out.astype(float)
+
+
+def _transverse_waves(rng: np.random.Generator, grid: GridSpec) -> np.ndarray:
+    """Two to four transverse plane waves: a divergence-free vector field."""
+    count = int(rng.integers(2, 5))
+    return sum(_transverse_wave(rng, grid)[1] for _ in range(count))
+
+
+_SAMPLERS = {"smooth-decaying": _bumps, "plane-wave-mix": _waves,
+             "indicator-union": _boxes, "divergence-free": _transverse_waves}
+KINDS = tuple(_SAMPLERS)
 
 
 def generate_corpus(kind: str, size: int, grid: GridSpec, seed: int) -> list:
@@ -119,22 +96,8 @@ def generate_corpus(kind: str, size: int, grid: GridSpec, seed: int) -> list:
     if kind == "divergence-free" and (grid.dimension != 3 or grid.topology != PERIODIC):
         raise ValueError("divergence-free corpus needs a three-dimensional torus")
     rng = np.random.default_rng(seed)
-    fields = []
-    for _ in range(size):
-        if kind == "smooth-decaying":
-            fields.append(ScalarField(_eval_bumps(_draw_bumps(rng, grid.dimension),
-                                                  grid), grid))
-        elif kind == "plane-wave-mix":
-            fields.append(ScalarField(_eval_waves(_draw_waves(rng, grid.dimension),
-                                                  grid), grid))
-        elif kind == "indicator-union":
-            fields.append(ScalarField(_eval_boxes(_draw_boxes(rng, grid.dimension),
-                                                  grid), grid))
-        else:
-            count = int(rng.integers(2, 5))
-            fields.append(VectorField(sum(_transverse_wave(rng, grid)[1] for _ in range(count)),
-                                      grid))
-    return fields
+    field = VectorField if kind == "divergence-free" else ScalarField
+    return [field(_SAMPLERS[kind](rng, grid), grid) for _ in range(size)]
 
 
 def antisymmetric_tensor_field(grid: GridSpec, seed: int, amplitude: float = 1.0) -> TensorField:
@@ -150,7 +113,7 @@ def antisymmetric_tensor_field(grid: GridSpec, seed: int, amplitude: float = 1.0
     for l in range(dim):
         entries[l][l] = zero
         for m in range(l + 1, dim):
-            values = amplitude * _eval_waves(_draw_waves(rng, dim, (2, 4)), grid)
+            values = amplitude * _waves(rng, grid, (2, 4))
             entries[l][m] = values
             entries[m][l] = -values
     return TensorField(entries, grid)

@@ -405,6 +405,8 @@ def _offset_dist2(shape: tuple[int, ...], spacings: tuple[float, ...]) -> np.nda
 def _stack(values, grid: GridSpec) -> np.ndarray:
     """Validated float stack whose trailing axes are the grid axes."""
     arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        raise ValueError("a stack needs at least one field")
     return _check_values(arr, grid, "stack", arr.shape[:max(arr.ndim - grid.dimension, 0)])
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from varns import (
+    PERIODIC,
     TRUNCATED,
     ExponentRangeError,
     ExponentField,
@@ -14,6 +15,9 @@ from varns import (
     radial_distance,
     scale_exponent,
 )
+from varns.exponents import _pair_distance, _point_matrix
+
+TWO_PI = 2.0 * np.pi
 
 
 def line(extent=20.0, res=256, origin=-10.0):
@@ -233,6 +237,33 @@ class TestLogRegularity:
         p = make_exponent("constant", (2.0,), line(res=8))
         with pytest.raises(ValueError):
             log_holder_constants(p, pair_budget=0)
+
+    def test_periodic_distance_is_the_minimum_image(self):
+        g = GridSpec(3, (TWO_PI, 3.0, 5.0), (4, 6, 5), PERIODIC)
+        pts = _point_matrix(g)
+        ii, jj = np.triu_indices(len(pts), k=1)
+        got = _pair_distance(g, pts[ii], pts[jj])
+        want = [np.sqrt(sum(min(abs(a - b + k * ext) for k in (-1, 0, 1)) ** 2
+                            for a, b, ext in zip(pts[i], pts[j], g.extents)))
+                for i, j in zip(ii, jj)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        # a wrapped pair is closer than its straight-line separation
+        assert np.any(got < np.sqrt(np.sum((pts[ii] - pts[jj]) ** 2, axis=1)))
+
+
+class TestCustomSamples:
+    def test_samples_round_trip(self):
+        g = cube(res=4)
+        p = make_exponent("radial-log", (2.5, 0.5), g)
+        back = make_exponent("custom-samples", tuple(p.samples.ravel()), g)
+        assert np.array_equal(back.samples, p.samples)
+        assert back.grid == g
+        assert back.p_infinity is None
+
+    def test_wrong_sample_count_is_refused(self):
+        g = line(res=8)
+        with pytest.raises(ValueError, match=r"one value per grid point \(8\), got 7"):
+            make_exponent("custom-samples", (2.0,) * 7, g)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from varns import (
     GridMismatchError,
     GridSpec,
     ScalarField,
+    SpaceTimeField,
     TensorField,
+    TimeGrid,
     VectorField,
 )
 
@@ -54,3 +58,25 @@ def test_one_container_for_every_rank(cls, rank, kind):
         a + elsewhere
     with pytest.raises(GridMismatchError):
         a - elsewhere
+
+
+def _time_fields():
+    space = np.zeros((9, 3) + GRID.shape)
+    return (SpaceTimeField(space, TimeGrid(1.0, 8), GRID),
+            SpaceTimeField(space, TimeGrid(2.0, 8), GRID))
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: GridSpec(3, (1.0, 1.0), (4,) * 3), "extents must have 3 entries, got 2"),
+    (lambda: GridSpec(2, (1.0,) * 2, (4,) * 2), "dimension must be 1 or 3, got 2"),
+    (lambda: GridSpec(1, (1.0,), (4,), "spherical"), "topology must be one of"),
+    (lambda: GridSpec(3, (1.0,) * 3, (4,) * 2), "resolution must have 3 entries, got 2"),
+    (lambda: GridSpec(1, (1.0,), (1,)), "resolution must be at least 2 per axis"),
+    (lambda: GRID.refine(0), "refinement factor must be >= 1, got 0"),
+    (lambda: TimeGrid(1.0, 0), "steps must be at least 1, got 0"),
+    (lambda: operator.sub(*_time_fields()), "different time grids"),
+], ids=["extents-length", "dimension", "topology", "resolution-length", "resolution-below-2",
+        "refine-0", "time-steps-0", "space-time-difference"])
+def test_malformed_grids_and_fields_are_refused(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()

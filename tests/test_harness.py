@@ -200,14 +200,17 @@ class TestCorpus:
         with pytest.raises(ValueError, match="torus"):
             generate_corpus("divergence-free", 1, box, 0)
 
-    def test_wave_corpus_refines_to_the_same_fields(self):
-        # same seed on a doubled grid resamples the same analytic field,
-        # so restriction to the coarse nodes must agree
+    @pytest.mark.parametrize("kind", ["plane-wave-mix", "smooth-decaying", "indicator-union",
+                                      "divergence-free"])
+    def test_wave_corpus_refines_to_the_same_fields(self, kind):
+        # no draw depends on the grid, so the same seed on a doubled torus
+        # resamples the same analytic fields, and its even nodes are the
+        # coarse nodes exactly: restriction to them must agree
         coarse_grid = torus(12)
-        coarse = generate_corpus("plane-wave-mix", 3, coarse_grid, seed=3)
-        fine = generate_corpus("plane-wave-mix", 3, coarse_grid.refine(2), seed=3)
+        coarse = generate_corpus(kind, 3, coarse_grid, seed=3)
+        fine = generate_corpus(kind, 3, coarse_grid.refine(2), seed=3)
         for c, f in zip(coarse, fine):
-            np.testing.assert_allclose(f.values[::2, ::2, ::2], c.values,
+            np.testing.assert_allclose(f.values[..., ::2, ::2, ::2], c.values,
                                        rtol=0.0, atol=1e-12)
 
     def test_bad_requests_are_rejected(self):
@@ -272,6 +275,31 @@ def _campaign(**changes):
 def test_non_finite_or_negative_parameters_are_rejected(build):
     with pytest.raises(ValueError, match="positive and finite"):
         build()
+
+
+def _lifted_exponent_undefined():
+    # 1/4 - sigma/3 < 0 at the default sigma = 1
+    cfg = dataclasses.replace(default_campaign_config("riesz_potential", 1, refinement_levels=1),
+                              exponent_specs=(("constant", (4.0,)),))
+    return evaluate_element(cfg, 0, 0)
+
+
+def _field_file_with_resolution(tmp_path, resolution):
+    # the first axis entry of the table starts after the 32-byte header
+    path = tmp_path / "f.vlpf"
+    write_field(ScalarField(np.zeros(4), line(4)), path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:32] + resolution.to_bytes(4, "little") + blob[36:])
+    return read_field(path)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda tmp: _lifted_exponent_undefined(), "lifted exponent undefined"),
+    (lambda tmp: _field_file_with_resolution(tmp, 1), "resolution must be at least 2"),
+], ids=["campaign-lifted-exponent", "field-file-grid"])
+def test_undefined_exponents_and_stored_grids_are_refused(build, match, tmp_path):
+    with pytest.raises(ValueError, match=match):
+        build(tmp_path)
 
 
 def _long_line_exponent():
@@ -585,6 +613,13 @@ class TestConfigDocuments:
         assert cfg.seed == 3
         assert cfg.refinement_levels == 3
         assert cfg.corpus_kind == "smooth-decaying"
+
+    def test_campaign_document_replaces_the_exponent_specs(self):
+        doc = {"target": "holder", "exponent_specs": [["constant", [3.0]],
+                                                      ["radial-log", [2.5, 0.5]]]}
+        cfg = build_campaign_config(doc)
+        assert cfg.exponent_specs == (("constant", (3.0,)), ("radial-log", (2.5, 0.5)))
+        assert default_campaign_config("holder").exponent_specs != cfg.exponent_specs
 
     def test_flag_overrides_beat_the_document(self):
         doc = {"target": "holder", "corpus_size": 2, "seed": 3}

@@ -361,6 +361,34 @@ class TestConfigValidation:
             assert thm1_config(g, tg, force=force).tg == tg
 
 
+
+def _time_exponent(grid):
+    return ExponentField(np.full(grid.shape, 3.5), grid)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: thm2_config(torus(8), TimeGrid(1.0, 8),
+                         p=_time_exponent(GridSpec(1, (1.0,), (4,), TRUNCATED, (0.0,)))),
+     "one sample per time step"),
+    (lambda: thm1_config(torus(8), TimeGrid(1.0, 8),
+                         p=make_exponent("constant", (2.5,), torus(16))),
+     "thm1 exponent field must live on the flow grid"),
+    (lambda: thm2_config(torus(8), TimeGrid(1.0, 8), q=None), "fixed spatial exponent q"),
+    (lambda: thm2_config(torus(8), TimeGrid(1.0, 8),
+                         p=_time_exponent(GridSpec(1, (1.0,), (8,), PERIODIC, (0.0,)))),
+     "sampled on a truncated interval"),
+    (lambda: initial_term(single_mode_u0(torus(8)), None, TimeGrid(1.0, 8),
+                          make_workspace(torus(16))), "data and workspace grids differ"),
+    (lambda: bilinear_term(SpaceTimeField(np.zeros((9, 3) + torus(8).shape), TimeGrid(1.0, 8),
+                                          torus(8)), make_workspace(torus(16))),
+     "field and workspace grids differ"),
+], ids=["time-exponent-samples", "thm1-exponent-grid", "thm2-without-q",
+        "thm2-periodic-exponent", "initial-term-grid", "bilinear-term-grid"])
+def test_mismatched_exponents_and_grids_are_refused(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 class TestInitialTerm:
     def test_zero_data_gives_zero(self):
         g = torus(8)

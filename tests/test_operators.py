@@ -929,6 +929,33 @@ class TestRadialDominationGap:
             radial_majorant_defect(phi, smooth_random(g, 1))
 
 
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: riesz_transform(smooth_random(torus(8), 1), 3, make_workspace(torus(8))),
+     r"axis must be in \[0, 3\), got 3"),
+    (lambda: radial_majorant_defects(
+        ScalarField(np.ones((8,) * 3), GridSpec(3, (1.0,) * 3, (8,) * 3, TRUNCATED)),
+        np.ones((8,) * 3)), "the majorant comparison runs on periodic grids"),
+    (lambda: radial_majorant_defects(ScalarField(np.ones((9,) * 3), torus(9)),
+                                     np.ones((9,) * 3)), "resolutions must be even"),
+    (lambda: radial_majorant_defects(ScalarField(np.zeros((8,) * 3), torus(8)),
+                                     np.ones((8,) * 3)), "kernel is identically zero"),
+], ids=["riesz-transform-axis", "majorant-truncated", "majorant-odd", "majorant-zero-kernel"])
+def test_bad_axes_grids_and_kernels_are_refused(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+@pytest.mark.parametrize("core, grid", [
+    (lambda g, empty: maximal_function_stack(empty, g, [1.0]), torus(8)),
+    (lambda g, empty: riesz_potential_stack(empty, g, 1.0),
+     GridSpec(3, (1.0,) * 3, (8,) * 3, TRUNCATED)),
+    (lambda g, empty: radial_majorant_defects(gaussian_window(g, 0.5), empty), torus(8)),
+], ids=["maximal", "riesz-potential", "radial-majorant"])
+def test_an_empty_stack_is_refused(core, grid):
+    with pytest.raises(ValueError, match="a stack needs at least one field"):
+        core(grid, np.zeros((0,) + grid.shape))
+
 def direct_majorant(phi, f):
     """Worst ``|phi * f| / (L1(phi) Mf)`` on a torus by direct summation.
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from varns import (
+    PERIODIC,
     TRUNCATED,
     ExponentField,
     ExponentRelationError,
@@ -300,6 +301,18 @@ class TestUnitFunctionNorm:
         with pytest.raises(ValueError):
             unit_function_norm(3.0, p)
 
+
+    @pytest.mark.parametrize("build, match", [
+        (lambda: unit_function_norm(1.0, make_exponent(
+            "constant", (2.0,), GridSpec(3, (1.0,) * 3, (4,) * 3, TRUNCATED))),
+         "one-dimensional truncated grid"),
+        (lambda: unit_function_norm(1.0, make_exponent(
+            "constant", (2.0,), GridSpec(1, (1.0,), (8,), PERIODIC))),
+         "one-dimensional truncated grid"),
+    ], ids=["cube", "periodic-interval"])
+    def test_exponent_off_an_interval_is_refused(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
 
 class TestEmbeddingDefect:
     def test_equal_exponents_give_ratio_one(self):
