@@ -7,6 +7,7 @@ per-axis origin makes shifted boxes round-trip exactly.
 """
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -61,7 +62,7 @@ def _decode(blob: bytes, path: str) -> tuple[np.ndarray, GridSpec]:
                         _TOPOLOGY_NAME[topo_code], tuple(origin))
     except ValueError as exc:
         raise FieldFileError(f"{path}: {exc}") from exc
-    count = int(np.prod(grid.shape))
+    count = math.prod(grid.shape)
     payload = blob[offset:]
     if len(payload) != 8 * count:
         raise FieldFileError(

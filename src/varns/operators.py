@@ -28,10 +28,12 @@ is extended by zero and convolved circularly on the smallest fast box whose
 wrap-around lands on the extension only: ``n + reach`` cells per axis, with
 ``reach`` the kernel's half-width in cells, as the kernel's own support
 decides it.  Each kernel gets its own box, so the maximal function groups
-its radii by box and transforms ``|f|`` once per group.  The transforms on
+its radii by box and transforms each group's balls once.  The transforms on
 such a box are pruned: they skip the lines that hold only padding, and
-agree bit for bit with ``rfftn``/``irfftn`` on the whole box.  The fields of
-a stack are independent, so their transforms are mapped on two lanes, the
+agree bit for bit with ``rfftn``/``irfftn`` on the whole box; a torus uses
+them on its own box, where nothing is pruned.  The maximal function and the
+fractional integral convolve each field in one job that transforms,
+multiplies and inverts.  Independent jobs are mapped on two lanes, the
 calling thread and one helper (:func:`_two_lanes`; :class:`_Lanes` also
 streams the solver's sweeps), and every merge of their results is a maximum
 or a write to the field's own slot, so no bit depends on which lane ran
@@ -402,12 +404,14 @@ def _offset_dist2(shape: tuple[int, ...], spacings: tuple[float, ...]) -> np.nda
     return sum(d * d for d in mesh)
 
 
-def _stack(values, grid: GridSpec) -> np.ndarray:
-    """Validated float stack whose trailing axes are the grid axes."""
+def _abs_stack(values, grid: GridSpec) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``|values|`` of a validated stack whose trailing axes are the grid
+    axes, with its leading axes flattened into one, and their shape."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("a stack needs at least one field")
-    return _check_values(arr, grid, "stack", arr.shape[:max(arr.ndim - grid.dimension, 0)])
+    lead = arr.shape[:max(arr.ndim - grid.dimension, 0)]
+    return np.abs(_check_values(arr, grid, "stack", lead)).reshape((-1,) + grid.shape), lead
 
 
 def _fast_box(grid: GridSpec, reach) -> tuple[int, ...]:
@@ -469,11 +473,12 @@ def maximal_function_stack(values, grid: GridSpec, radii) -> np.ndarray:
     A radius whose ball holds one cell contributes ``|f|`` itself.  The
     others are grouped by box: the grid on a torus, and on a truncated box
     the smallest fast box that keeps each radius's own ball clear of
-    wrap-around.  Per group, largest box first, ``|f|`` is transformed field
-    by field into one spectrum and each ball mask once; the inverse
-    transforms run field by field to bound the memory.  The fields'
-    transforms, and per radius their inverses, are mapped on two lanes
-    (:func:`_two_lanes`), each into its own field's maximum.
+    wrap-around.  Per group, largest box first, each ball mask is
+    transformed once; then each field is one job, mapped on two lanes
+    (:func:`_two_lanes`), that transforms ``|f|`` once and folds the
+    average over every ball of the group into its own field's maximum.
+    Both topologies use :func:`_alias_free_transforms`; on the grid's own
+    box they prune nothing.
     """
     radii = [float(r) for r in radii]
     if not radii:
@@ -482,9 +487,7 @@ def maximal_function_stack(values, grid: GridSpec, radii) -> np.ndarray:
     for r in radii:
         if not 0 < r <= rmax * (1 + 1e-12):
             raise ValueError(f"radius {r} outside (0, {rmax}]")
-    fa = np.abs(_stack(values, grid))
-    lead = fa.shape[:fa.ndim - grid.dimension]
-    fa = fa.reshape((-1,) + grid.shape)
+    fa, lead = _abs_stack(values, grid)
     out = np.zeros(fa.shape)
     groups: dict[tuple[int, ...], list[float]] = {}
     for r in radii:
@@ -495,27 +498,17 @@ def maximal_function_stack(values, grid: GridSpec, radii) -> np.ndarray:
             box = _fast_box(grid, reach) if grid.topology == TRUNCATED else grid.shape
             groups.setdefault(box, []).append(r)
     for box in sorted(groups, key=math.prod, reverse=True):
-        if grid.topology == TRUNCATED:
-            forward, inverse = _alias_free_transforms(grid, box)
-        else:
-            ws = make_workspace(grid)
-            forward, inverse = ws.forward, ws.inverse
-        fhat = np.empty((len(fa),) + box[:-1] + (box[-1] // 2 + 1,), dtype=complex)
-
-        def transform(i):
-            fhat[i] = forward(fa[i])
-        _two_lanes(transform, len(fa))
+        forward, inverse = _alias_free_transforms(grid, box)
         dist2 = _offset_dist2(box, grid.spacings)
-        for r in groups[box]:
-            mask = dist2 <= r * r
-            count = int(np.count_nonzero(mask))
-            mask_hat = forward(mask.astype(float))
+        masks = [dist2 <= r * r for r in groups[box]]
+        balls = [(forward(m.astype(float)), int(np.count_nonzero(m))) for m in masks]
+        del dist2, masks  # the map holds the ball spectra only
 
-            def average(i):
-                np.maximum(out[i], inverse(fhat[i] * mask_hat) / count, out=out[i])
-            _two_lanes(average, len(fa))
-        # free this group's spectrum before the next group allocates its own
-        del fhat
+        def average(i):
+            fhat = forward(fa[i])
+            for ball_hat, count in balls:
+                np.maximum(out[i], inverse(fhat * ball_hat) / count, out=out[i])
+        _two_lanes(average, len(fa))
     return out.reshape(lead + grid.shape)
 
 
@@ -548,9 +541,7 @@ def riesz_potential_stack(values, grid: GridSpec, sigma: float) -> np.ndarray:
     sigma = float(sigma)
     if not 0.0 < sigma < grid.dimension:
         raise ValueError(f"order must lie in (0, {grid.dimension}), got {sigma}")
-    fa = np.abs(_stack(values, grid))
-    lead = fa.shape[:fa.ndim - grid.dimension]
-    fa = fa.reshape((-1,) + grid.shape)
+    fa, lead = _abs_stack(values, grid)
     box = _fast_box(grid, [n - 1 for n in grid.resolution])
     forward, inverse = _alias_free_transforms(grid, box)
     dist2 = _offset_dist2(box, grid.spacings)
@@ -670,7 +661,7 @@ def radial_majorant_defects(phi: ScalarField, values) -> np.ndarray:
         raise ValueError("the majorant comparison runs on periodic grids")
     if any(n % 2 for n in grid.resolution):
         raise ValueError("resolutions must be even so the box center is a node")
-    fa = np.abs(_stack(values, grid))
+    fa, lead = _abs_stack(values, grid)
     pv = phi.values
     if np.any(pv < 0):
         raise RadialOrderError("kernel must be nonnegative")
@@ -697,7 +688,7 @@ def radial_majorant_defects(phi: ScalarField, values) -> np.ndarray:
     l1 = grid.cell_volume * float(rolled.sum())
 
     support = sorted_dist[sorted_vals > 1e-13 * peak]
-    r_support = min(float(support.max()) if support.size else 0.0, rmax)
+    r_support = min(float(support.max()), rmax)
     # the support ball's offsets in shell order: ball k closes at radii[k]
     # and holds the first sizes[k] offsets
     keys = np.round(dist, 12)
@@ -716,9 +707,6 @@ def radial_majorant_defects(phi: ScalarField, values) -> np.ndarray:
     tail.ravel()[offsets] = 0.0
     tail = grid.cell_volume * ws.inverse(ws.forward(tail) * fhat)
 
-    batch = fa.shape[:fa.ndim - grid.dimension]
-    fa = fa.reshape((-1,) + grid.shape)
-    fhat = fhat.reshape((len(fa),) + fhat.shape[fhat.ndim - grid.dimension:])
     conv = np.abs(conv).reshape(len(fa), -1)
     tail = tail.reshape(len(fa), -1)
     support_hat = ws.forward((keys <= radii[-1]).astype(float))
@@ -781,7 +769,7 @@ def radial_majorant_defects(phi: ScalarField, values) -> np.ndarray:
         done = _two_lanes(lambda n: verify(pending[n], budget), pending.size)
         pending = pending[np.logical_not(done)]
         budget = None  # with every ball in the bound, verify to the end
-    return ratios.reshape(batch)
+    return ratios.reshape(lead)
 
 
 def radial_majorant_defect(phi: ScalarField, f: ScalarField) -> float:

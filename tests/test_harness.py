@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -151,6 +152,17 @@ class TestFieldFile:
         self._expect_reject(tmp_path, blob[:8] + b"\x05" + blob[9:], "topology code")
         self._expect_reject(tmp_path, blob[:40], "axis table")
         self._expect_reject(tmp_path, blob[:-8], "payload")
+
+    def test_a_forged_sample_count_is_rejected(self, tmp_path, capsys):
+        # 2**31 * 2**31 * 4 samples wrap to 0 in int64; the count must not,
+        # so the empty payload fails the length check, not numpy's reshape
+        header = struct.pack("<4sHHB23x", b"VLPF", 1, 3, 0)
+        axes = b"".join(struct.pack("<Idd", n, 1.0, 0.0) for n in (2**31, 2**31, 4))
+        self._expect_reject(tmp_path, header + axes,
+                            "payload holds 0 bytes, expected 147573952589676412928")
+        path = tmp_path / "broken.vlpf"
+        assert main(["norm", "--field", str(path), "--exponent", str(path)]) == 2
+        assert "payload holds 0 bytes" in capsys.readouterr().err
 
     def test_error_message_carries_the_path(self, tmp_path):
         path = tmp_path / "named.vlpf"

@@ -225,16 +225,24 @@ class TestStackedTransforms:
     @pytest.mark.parametrize("grid", [
         GridSpec(1, (4.0,), (33,), TRUNCATED, (0.0,)),
         GridSpec(3, (5.0, 6.0, 4.0), (11, 12, 9), TRUNCATED, (0.0,) * 3),
+        torus(12),
+        torus(48),
     ])
     def test_pruned_transforms_match_full_ones_bit_for_bit(self, monkeypatch, threads, grid):
         # the pruned transforms skip only lines of zeros, so they must agree
-        # with rfftn/irfftn on the whole padded box to the last bit
+        # with rfftn/irfftn on the whole padded box to the last bit; a torus
+        # transforms on its own box, where nothing is pruned.  The 48^3
+        # spectrum is above the 256 KB where numpy elides temporaries
         monkeypatch.setenv("VARNS_THREADS", threads)
         rng = np.random.default_rng(17)
         axes = tuple(range(-grid.dimension, 0))
         crop = (...,) + tuple(slice(0, n) for n in grid.resolution)
-        for reach in ([n - 1 for n in grid.resolution], [2, 3, 1][:grid.dimension]):
-            box = _fast_box(grid, reach)
+        if grid.topology == PERIODIC:
+            boxes = [grid.shape]
+        else:
+            boxes = [_fast_box(grid, reach) for reach in
+                     ([n - 1 for n in grid.resolution], [2, 3, 1][:grid.dimension])]
+        for box in boxes:
             forward, inverse = _alias_free_transforms(grid, box)
             stack = rng.standard_normal((2, 3) + grid.shape)
             want = sfft.rfftn(stack, s=box, axes=axes, workers=int(threads))
@@ -249,26 +257,31 @@ class TestStackedTransforms:
     def test_real_space_stacks_match_single_fields_bit_for_bit(self, monkeypatch, threads):
         monkeypatch.setenv("VARNS_THREADS", threads)
         rng = np.random.default_rng(16)
-        box = GridSpec(3, (6.0,) * 3, (12, 10, 12), TRUNCATED, (-3.0,) * 3)
-        for grid in (box, torus(12)):
+        # the 24^3 box (riesz box 48^3) and the 32^3 torus have spectra above
+        # the 256 KB where numpy elides temporaries and may round differently
+        small = GridSpec(3, (6.0,) * 3, (12, 10, 12), TRUNCATED, (-3.0,) * 3)
+        large = GridSpec(3, (12.0,) * 3, (24,) * 3, TRUNCATED, (-6.0,) * 3)
+        for grid in (small, large, torus(12), torus(32)):
             stack = rng.standard_normal((2, 3) + grid.shape)
             radii = (0.3, 1.2, 0.5 * min(grid.extents))
             got = maximal_function_stack(stack, grid, radii)
             for j, m in np.ndindex(2, 3):
                 one = maximal_function(ScalarField(stack[j, m], grid), radii).values
                 assert np.array_equal(got[j, m], one)
-        stack = rng.standard_normal((3,) + box.shape)
-        got = riesz_potential_stack(stack, box, 1.0)
-        for j in range(3):
-            one = riesz_potential_direct(ScalarField(stack[j], box), 1.0).values
-            assert np.array_equal(got[j], one)
-        g = GridSpec(3, (8.0,) * 3, (16,) * 3, PERIODIC, (-4.0,) * 3)
-        phi = ScalarField(np.exp(-((radial_distance(g) / 0.7) ** 2)), g)
-        stack = np.stack([smooth_random(g, 30 + j, modes=2).values for j in range(3)])
-        got = radial_majorant_defects(phi, stack)
-        assert got.shape == (3,)
-        for j in range(3):
-            assert got[j] == radial_majorant_defect(phi, ScalarField(stack[j], g))
+        for box in (small, large):
+            stack = rng.standard_normal((3,) + box.shape)
+            got = riesz_potential_stack(stack, box, 1.0)
+            for j in range(3):
+                one = riesz_potential_direct(ScalarField(stack[j], box), 1.0).values
+                assert np.array_equal(got[j], one)
+        for n in (16, 32):
+            g = GridSpec(3, (8.0,) * 3, (n,) * 3, PERIODIC, (-4.0,) * 3)
+            phi = ScalarField(np.exp(-((radial_distance(g) / 0.7) ** 2)), g)
+            stack = np.stack([smooth_random(g, 30 + j, modes=2).values for j in range(3)])
+            got = radial_majorant_defects(phi, stack)
+            assert got.shape == (3,)
+            for j in range(3):
+                assert got[j] == radial_majorant_defect(phi, ScalarField(stack[j], g))
 
     def test_two_lane_cores_are_deterministic(self):
         # seven fields split 4/3 or otherwise between the lanes; every field's
@@ -294,6 +307,24 @@ class TestStackedTransforms:
             assert np.array_equal(core(stack), first)
             for j in range(7):
                 assert np.array_equal(first[j], single(stack[j]))
+
+    def test_maximal_core_holds_no_spectrum_per_field(self):
+        import tracemalloc
+        # both radii reach two cells, so one 18^3 box; S is its spectrum
+        g = GridSpec(3, (8.0,) * 3, (16,) * 3, TRUNCATED, (-4.0,) * 3)
+        stack = np.random.default_rng(0).standard_normal((16,) + g.shape)
+        spectrum = 18 * 18 * 10 * 16
+        tracemalloc.start()
+        try:
+            maximal_function_stack(stack, g, (1.0, 1.2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # |f| and the output are a stack each.  Each lane holds at most five
+        # spectra: its field's, the product with a ball, and the inverse's
+        # intermediates; the group holds its two ball spectra.  A spectrum per
+        # field would add 16 more
+        assert peak < 2 * stack.nbytes + (2 * 5 + 2) * spectrum
 
     def test_stacks_must_end_in_the_grid_shape(self):
         g = GridSpec(1, (4.0,), (16,), TRUNCATED, (0.0,))
