@@ -21,24 +21,27 @@ the radial-majorant check) take stacks as well: ``(..., *grid.shape)``
 values whose leading axes run over independent fields, with a thin
 single-field wrapper over each.  Every spectrum that depends only on the
 grid (ball masks, the fractional kernel) is built once per stacked call and
-applied to the whole stack.  The radial-majorant check bounds every point
-from a few FFT balls and sums the maximal average exactly, shell by shell,
-only at the points that can decide the maximum.  On truncated boxes the field
-is extended by zero and convolved circularly on the smallest fast box whose
-wrap-around lands on the extension only: ``n + reach`` cells per axis, with
+applied to each field in turn; only the majorant's finer balls, which a field
+needs once its verify budget runs out, are built in that field's job.  The
+radial-majorant check bounds every point from a few FFT balls and sums the
+maximal average exactly, shell by shell, only at the points that can decide
+the maximum.  On truncated boxes the field is extended by zero and
+convolved circularly on the smallest fast box whose wrap-around lands on the
+extension only: ``n + reach`` cells per axis, with
 ``reach`` the kernel's half-width in cells, as the kernel's own support
 decides it.  Each kernel gets its own box, so the maximal function groups
 its radii by box and transforms each group's balls once.  The transforms on
 such a box are pruned: they skip the lines that hold only padding, and
 agree bit for bit with ``rfftn``/``irfftn`` on the whole box; a torus uses
-them on its own box, where nothing is pruned.  The maximal function and the
-fractional integral convolve each field in one job that transforms,
-multiplies and inverts.  Independent jobs are mapped on two lanes, the
-calling thread and one helper (:func:`_two_lanes`; :class:`_Lanes` also
-streams the solver's sweeps), and every merge of their results is a maximum
-or a write to the field's own slot, so no bit depends on which lane ran
-what.  Kernel quadrature (the fractional integral) uses midpoint weights off
-the diagonal and a closed-form cell integral on it.
+them on its own box, where nothing is pruned.  All three cores run one job
+per field that transforms ``|f|`` once, multiplies by the call's kernel
+spectra and inverts, so no spectrum is held for every field at once.
+Independent jobs are mapped on two lanes, the calling thread and one helper
+(:func:`_two_lanes`; :class:`_Lanes` also streams the solver's sweeps), and
+every merge of their results is a maximum or a write to the field's own
+slot, so no bit depends on which lane ran what.  Kernel quadrature (the
+fractional integral) uses midpoint weights off the diagonal and a
+closed-form cell integral on it.
 """
 from __future__ import annotations
 
@@ -644,10 +647,12 @@ def radial_majorant_defects(phi: ScalarField, values) -> np.ndarray:
       The budget costs about a fifteenth of those FFT balls (measured at
       24^3 and 48^3 on a 2-core x86 box), so a rough or sparse field costs
       about what an all-shell pass does.
-    - **Two lanes** (:func:`_two_lanes`).  The bound's balls are split
-      between the lanes, each raising its own copy of the bound, and the
-      copies are merged by their maximum; the pending fields are verified
-      on both lanes, each writing only its own ratio.
+    - **Two lanes** (:func:`_two_lanes`).  Each field is one job: it
+      transforms ``|f|`` once, forms its own convolutions, live points and
+      bound, verifies, and returns its ratio.  The spectra of ``phi``, its
+      tail, the support ball and the coarse balls are built once per call
+      and only read by the jobs; a field past its budget transforms the
+      other balls in its own job.
 
     A point is live when its support ball meets the support of ``f``,
     counted exactly by rounding an FFT convolution of the indicator of
@@ -683,8 +688,6 @@ def radial_majorant_defects(phi: ScalarField, values) -> np.ndarray:
         raise RadialOrderError("kernel support exceeds half the box extent")
 
     ws = make_workspace(grid)
-    fhat = ws.forward(fa)
-    conv = grid.cell_volume * ws.inverse(ws.forward(rolled) * fhat)
     l1 = grid.cell_volume * float(rolled.sum())
 
     support = sorted_dist[sorted_vals > 1e-13 * peak]
@@ -703,73 +706,57 @@ def radial_majorant_defects(phi: ScalarField, values) -> np.ndarray:
     mirror = np.ravel_multi_index(
         [-m % n for m, n in zip(np.unravel_index(offsets, grid.shape), grid.shape)], grid.shape)
     weights = grid.cell_volume * rolled.ravel()[mirror]
-    tail = rolled.copy()
-    tail.ravel()[offsets] = 0.0
-    tail = grid.cell_volume * ws.inverse(ws.forward(tail) * fhat)
-
-    conv = np.abs(conv).reshape(len(fa), -1)
-    tail = tail.reshape(len(fa), -1)
+    beyond = rolled.copy()
+    beyond.ravel()[offsets] = 0.0
+    phi_hat = ws.forward(rolled)
+    tail_hat = ws.forward(beyond)
     support_hat = ws.forward((keys <= radii[-1]).astype(float))
-    live = ws.inverse(ws.forward((fa != 0).astype(float)) * support_hat) > 0.5
-    live = live.reshape(len(fa), -1)
-
     round_off = np.finfo(float).eps * np.log2(fa[0].size)
-    maximal = np.zeros(fa.shape)
-    ratios = np.zeros(len(fa))
 
-    def raise_bound(fields, balls):
-        hats = fhat[fields]
-
-        def lane(first):
-            bound = maximal[fields]
-            for k in balls[first::2]:
-                if sizes[k] == 1:
-                    np.maximum(bound, fa[fields], out=bound)
-                    continue
-                average = ws.inverse(ws.forward((keys <= radii[k]).astype(float)) * hats)
-                average /= sizes[k]
-                np.maximum(bound, average, out=bound)
-            return bound
-        maximal[fields] = np.maximum(*_two_lanes(lane, 2))
-
-    def verify(j, budget):
-        """Raise ``ratios[j]`` to its maximum; False if the budget ran out."""
-        e = round_off * float(fa[j].max())
-        points = np.flatnonzero(live[j])
-        low = maximal[j].ravel()[points] - e
-        with np.errstate(divide="ignore"):
-            ub = np.where(low > 0, (conv[j, points] / l1 + e) / low, np.inf)
-        rank = np.argsort(-ub, kind="stable")
-        points, ub = points[rank], ub[rank]
-        wrapped = np.pad(fa[j], [(p, p) for p in pad], mode="wrap").ravel()
-        best = ratios[j]
-        for s in range(0, points.size, _VERIFY_CHUNK):
-            if ub[s] <= best * (1.0 + 4.0 * round_off):
-                break
-            if budget is not None and s >= budget:
-                ratios[j] = best
-                return False
-            chunk = points[s:s + _VERIFY_CHUNK]
-            gathered = wrapped[base(chunk)[:, None] + jumps]
-            shell_sums = np.add.reduceat(gathered, starts, axis=1)
-            mf = (np.cumsum(shell_sums, axis=1) / sizes).max(axis=1)
-            num = np.abs((gathered * weights).sum(axis=1) + tail[j, chunk])
-            best = max(best, float(np.max(num / (l1 * mf))))
-        ratios[j] = best
-        return True
+    def ball(k):
+        return ws.forward((keys <= radii[k]).astype(float)), sizes[k]
 
     coarse = np.unique(np.searchsorted(radii, np.linspace(0.0, radii[-1], _COARSE_BALLS)))
     rest = np.setdiff1d(np.arange(radii.size), coarse)
-    budget = int(rest.size * fa[0].size / (4 * offsets.size)) if rest.size else None
-    pending = np.arange(len(fa))
-    for balls in (coarse, rest):
-        if not pending.size:
-            break
-        raise_bound(pending, balls)
-        done = _two_lanes(lambda n: verify(pending[n], budget), pending.size)
-        pending = pending[np.logical_not(done)]
-        budget = None  # with every ball in the bound, verify to the end
-    return ratios.reshape(lead)
+    budget = int(rest.size * fa[0].size / (4 * offsets.size)) if rest.size else math.inf
+    # ball 0, always coarse, is the point itself: the bound starts at |f|
+    coarse = [ball(k) for k in coarse[1:]]
+
+    def ratio(i):
+        f = fa[i]
+        fhat = ws.forward(f)
+        conv = np.abs(grid.cell_volume * ws.inverse(phi_hat * fhat)).ravel()
+        tail = (grid.cell_volume * ws.inverse(tail_hat * fhat)).ravel()
+        points = np.flatnonzero(
+            ws.inverse(ws.forward((f != 0).astype(float)) * support_hat) > 0.5)
+        wrapped = np.pad(f, [(p, p) for p in pad], mode="wrap").ravel()
+        e = round_off * float(f.max())
+        maximal = f.copy()
+        best = 0.0
+        # raise the bound over the coarse balls and verify under the budget;
+        # if it runs out, add the rest and verify to the end
+        for balls, limit in ((coarse, budget), (map(ball, rest), math.inf)):
+            for ball_hat, size in balls:
+                np.maximum(maximal, ws.inverse(ball_hat * fhat) / size, out=maximal)
+            low = maximal.ravel()[points] - e
+            with np.errstate(divide="ignore"):
+                ub = np.where(low > 0, (conv[points] / l1 + e) / low, np.inf)
+            rank = np.argsort(-ub, kind="stable")
+            ranked, ub = points[rank], ub[rank]
+            for s in range(0, ranked.size, _VERIFY_CHUNK):
+                if ub[s] <= best * (1.0 + 4.0 * round_off):
+                    return best
+                if s >= limit:
+                    break
+                chunk = ranked[s:s + _VERIFY_CHUNK]
+                gathered = wrapped[base(chunk)[:, None] + jumps]
+                shell_sums = np.add.reduceat(gathered, starts, axis=1)
+                mf = (np.cumsum(shell_sums, axis=1) / sizes).max(axis=1)
+                num = np.abs((gathered * weights).sum(axis=1) + tail[chunk])
+                best = max(best, float(np.max(num / (l1 * mf))))
+            else:
+                return best
+    return np.array(_two_lanes(ratio, len(fa))).reshape(lead)
 
 
 def radial_majorant_defect(phi: ScalarField, f: ScalarField) -> float:

@@ -326,6 +326,29 @@ class TestStackedTransforms:
         # field would add 16 more
         assert peak < 2 * stack.nbytes + (2 * 5 + 2) * spectrum
 
+    def test_majorant_core_holds_no_spectrum_per_field(self, monkeypatch):
+        import tracemalloc
+        import varns.operators as operators
+        g, phi = campaign_torus(16)
+        rng = np.random.default_rng(0)
+        field_bytes = np.zeros(g.shape).nbytes
+        # one lane: whether two jobs' working sets overlap is a matter of
+        # timing, and moved the peak of 4 fields by about 0.6 MB
+        monkeypatch.setattr(operators, "_two_lanes", lambda job, n: [job(i) for i in range(n)])
+
+        def peak(count):
+            stack = rng.standard_normal((count,) + g.shape)
+            tracemalloc.start()
+            try:
+                radial_majorant_defects(phi, stack)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        radial_majorant_defects(phi, rng.standard_normal((2,) + g.shape))  # warm the caches
+        # twelve more fields add twelve |f| of field_bytes each; one more
+        # spectrum per field (1.125 field_bytes at 16^3) would break the bound
+        assert peak(16) - peak(4) < 2 * 12 * field_bytes
+
     def test_stacks_must_end_in_the_grid_shape(self):
         g = GridSpec(1, (4.0,), (16,), TRUNCATED, (0.0,))
         with pytest.raises(ValueError, match="shape"):
@@ -1105,6 +1128,35 @@ class TestRadialMajorantWorstCases:
         got = radial_majorant_defect(phi, f)
         assert got == pytest.approx(direct_majorant(phi, f), rel=1e-12)
         assert got <= 1.0 + 1e-12
+
+
+class TestRadialMajorantBudget:
+    def test_fields_past_the_budget_keep_their_single_field_bits(self, monkeypatch):
+        # at 32^3 white noise runs out of verify budget over the coarse balls,
+        # takes the rest of the ladder and is verified again; the constant
+        # and the smooth field stop under the budget
+        g, phi = campaign_torus(32)
+        stack = np.stack([_worst_case_field("white-noise", g),
+                          _worst_case_field("constant", g), smooth_random(g, 5).values])
+        forward = sfft.rfftn
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+        monkeypatch.setattr(sfft, "rfftn", counted)
+        ratios, transforms = [], []
+        for values in stack:
+            calls.clear()
+            ratios.append(radial_majorant_defect(phi, ScalarField(values, g)))
+            transforms.append(len(calls))
+        # the extra forward transforms are the balls outside the bound
+        assert transforms[0] > transforms[1] == transforms[2]
+        got = radial_majorant_defects(phi, stack)
+        assert [float(r) for r in got] == ratios
+        f = ScalarField(stack[0], g)
+        assert ratios[0] == pytest.approx(direct_majorant(phi, f), rel=1e-12)
+        assert ratios[0] <= 1.0 + 1e-12
 
 
 class TestRefinementConsistency:
