@@ -147,17 +147,15 @@ class GridSpec:
         )
 
 
-def radial_distance(grid: GridSpec, center: tuple[float, ...] | None = None) -> np.ndarray:
-    """Distance from ``center`` (default: box center) at every sample point.
+def radial_distance(grid: GridSpec) -> np.ndarray:
+    """Distance from the box center at every sample point.
 
     Periodic grids use the minimum-image distance so the result is a genuine
     function on the torus.
     """
-    if center is None:
-        center = grid.center
     sq = np.zeros(grid.shape)
     for axis, x in enumerate(grid.coords()):
-        d = np.abs(x - center[axis])
+        d = np.abs(x - grid.center[axis])
         if grid.topology == PERIODIC:
             d = np.minimum(d, grid.extents[axis] - d)
         sq = sq + d * d
@@ -312,23 +310,11 @@ class SpaceTimeField:
         object.__setattr__(self, "data",
                            _check_values(self.data, self.grid, "space-time field", lead))
 
-    def __add__(self, other: SpaceTimeField) -> SpaceTimeField:
-        self._check_compatible(other)
-        return SpaceTimeField(self.data + other.data, self.tg, self.grid)
-
     def __sub__(self, other: SpaceTimeField) -> SpaceTimeField:
-        self._check_compatible(other)
-        return SpaceTimeField(self.data - other.data, self.tg, self.grid)
-
-    def __mul__(self, factor: float) -> SpaceTimeField:
-        return SpaceTimeField(self.data * float(factor), self.tg, self.grid)
-
-    __rmul__ = __mul__
-
-    def _check_compatible(self, other: SpaceTimeField):
         if self.tg != other.tg:
             raise GridMismatchError("space-time fields have different time grids")
         require_same_grid(self, other)
+        return SpaceTimeField(self.data - other.data, self.tg, self.grid)
 
 
 @dataclass(frozen=True)

@@ -343,16 +343,14 @@ def _level_corpus(cfg: CampaignConfig, level: int):
                            cfg.seed)
 
 
-def evaluate_element(cfg: CampaignConfig, level: int, index: int,
-                     corpus=None) -> float:
-    """Ratio of one corpus element at one level; regenerates the corpus if
-    not supplied, so a stored (level, element) reference replays exactly."""
+def evaluate_element(cfg: CampaignConfig, level: int, index: int) -> float:
+    """Ratio of one corpus element at one level; regenerates the level's
+    corpus, so a stored (level, element) reference replays exactly."""
     if not 0 <= level < cfg.refinement_levels:
         raise IndexError(f"level {level} outside the configured ladder")
     if not 0 <= index < cfg.corpus_size:
         raise IndexError(f"element {index} outside the corpus")
-    if corpus is None:
-        corpus = _level_corpus(cfg, level)
+    corpus = _level_corpus(cfg, level)
     (image,) = _images(cfg, level, corpus, [index])
     return _ratio(cfg, level, index, corpus, image)
 

@@ -3,7 +3,8 @@
 Subcommands: ``norm`` (Luxemburg or mixed norm of a stored field),
 ``verify`` (campaign from a JSON config), ``solve`` (fixed-point run from a
 JSON config), ``campaign`` (built-in campaign defaults by target).  Exit
-codes: 0 pass, 1 bound violated or not converged, 2 usage or I/O error.
+codes: 0 pass, 1 bound violated or not converged, 2 usage or I/O error,
+which includes a norm tolerance too fine to certify.
 ``VARNS_THREADS`` caps the transform worker count (default 1, which keeps
 runs bit-reproducible).
 """
@@ -21,7 +22,7 @@ from ..mild_solver import (
     SmallnessError,
     picard_solve,
 )
-from ..varlp import luxemburg_norm, mixed_norm
+from ..varlp import BisectionError, luxemburg_norm, mixed_norm
 from .campaigns import TARGETS, CampaignElementError, run_campaign
 from .configs import build_campaign_config, build_solver_config, exponent_from_doc
 from .fieldfile import FieldFileError, read_exponent, read_field
@@ -112,9 +113,9 @@ def _campaign_override_dict(args) -> dict:
 
 
 def _emit_requested(obj, args) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         emit_report(obj, args.out, "json")
-    if getattr(args, "csv", None):
+    if args.csv:
         emit_report(obj, args.csv, "csv")
 
 
@@ -169,8 +170,8 @@ def main(argv=None) -> int:
         print(f"varns: {exc}", file=sys.stderr)
         return 1
     except (OSError, ReportIOError, FieldFileError, ForceDivergenceError,
-            ExponentRangeError, json.JSONDecodeError, KeyError, TypeError,
-            ValueError) as exc:
+            ExponentRangeError, BisectionError, json.JSONDecodeError, KeyError,
+            TypeError, ValueError) as exc:
         print(f"varns: {exc}", file=sys.stderr)
         return 2
 

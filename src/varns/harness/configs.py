@@ -12,7 +12,6 @@ import numpy as np
 
 from ..exponents import ExponentField, make_exponent
 from ..fields import (
-    PERIODIC,
     TRUNCATED,
     GridSpec,
     SeparableField,
@@ -37,11 +36,8 @@ def _merge(doc: dict, overrides: dict | None) -> dict:
 
 
 def grid_from_doc(doc: dict) -> GridSpec:
-    topology = doc.get("topology", TRUNCATED)
-    if topology not in (TRUNCATED, PERIODIC):
-        raise ValueError(f"unknown topology {topology!r}")
     return GridSpec(doc["dimension"], tuple(doc["extents"]), tuple(doc["resolution"]),
-                    topology, doc.get("origin"))
+                    doc.get("topology", TRUNCATED), doc.get("origin"))
 
 
 def exponent_from_doc(doc: dict, grid: GridSpec) -> ExponentField:

@@ -21,7 +21,8 @@ class ReportIOError(OSError):
 
 
 def report_to_record(obj) -> dict:
-    """Plain JSON-safe dict for a campaign report or a solver result."""
+    """Plain JSON-safe dict for a campaign report or a solver result;
+    anything else raises ``TypeError``."""
     if isinstance(obj, InequalityReport):
         return {
             "schema": SCHEMA,
@@ -60,8 +61,6 @@ def report_to_record(obj) -> dict:
                 "ladder": [list(row) for row in verdict.ladder],
             },
         }
-    if isinstance(obj, dict):
-        return obj
     raise TypeError(f"cannot build a report record from {type(obj)!r}")
 
 
@@ -97,12 +96,10 @@ def emit_report(obj, path, format: str = "json") -> None:
                 json.dump(record, fh, indent=2)
                 fh.write("\n")
         elif format == "csv":
-            if record.get("kind") == "campaign":
+            if record["kind"] == "campaign":
                 _campaign_csv(record, path)
-            elif record.get("kind") == "solver":
-                _solver_csv(record, path)
             else:
-                raise ValueError(f"record kind {record.get('kind')!r} has no CSV layout")
+                _solver_csv(record, path)
         else:
             raise ValueError(f"unknown report format {format!r}")
     except OSError as exc:

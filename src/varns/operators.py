@@ -310,8 +310,7 @@ def riesz_transform(f: ScalarField, axis: int, ws: SpectralWorkspace) -> ScalarF
     if not 0 <= axis < dim:
         raise ValueError(f"axis must be in [0, {dim}), got {axis}")
     mag = np.sqrt(ws.k2_deriv)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        symbol = np.where(mag > 0.0, ws.k_deriv[axis] / np.where(mag > 0, mag, 1.0), 0.0)
+    symbol = np.where(mag > 0.0, ws.k_deriv[axis] / np.where(mag > 0, mag, 1.0), 0.0)
     return ScalarField(ws.inverse(-1j * symbol * ws.forward(f.values)), ws.grid)
 
 
@@ -676,22 +675,15 @@ def radial_majorant_defects(phi: ScalarField, values) -> np.ndarray:
     rolled = np.roll(pv, [-(n // 2) for n in grid.resolution],
                      axis=tuple(range(grid.dimension)))
     dist = np.sqrt(_offset_dist2(grid.shape, grid.spacings))
-    order = np.argsort(dist.ravel(), kind="stable")
-    sorted_vals = rolled.ravel()[order]
-    slack = 1e-9 * peak
-    if np.any(np.diff(sorted_vals) > slack):
+    if np.any(np.diff(rolled.ravel()[np.argsort(dist.ravel(), kind="stable")]) > 1e-9 * peak):
         raise RadialOrderError("kernel is not radially nonincreasing about the box center")
     rmax = 0.5 * min(grid.extents)
-    sorted_dist = dist.ravel()[order]
-    outside = sorted_dist > rmax
-    if np.any(outside) and float(sorted_vals[outside].max(initial=0.0)) > 1e-12 * peak:
+    if float(rolled[dist > rmax].max(initial=0.0)) > 1e-12 * peak:
         raise RadialOrderError("kernel support exceeds half the box extent")
 
     ws = make_workspace(grid)
     l1 = grid.cell_volume * float(rolled.sum())
-
-    support = sorted_dist[sorted_vals > 1e-13 * peak]
-    r_support = min(float(support.max()), rmax)
+    r_support = min(float(dist[rolled > 1e-13 * peak].max()), rmax)
     # the support ball's offsets in shell order: ball k closes at radii[k]
     # and holds the first sizes[k] offsets
     keys = np.round(dist, 12)
@@ -711,6 +703,7 @@ def radial_majorant_defects(phi: ScalarField, values) -> np.ndarray:
     phi_hat = ws.forward(rolled)
     tail_hat = ws.forward(beyond)
     support_hat = ws.forward((keys <= radii[-1]).astype(float))
+    del dist, rolled, beyond, mirror  # the jobs read the spectra and weights
     round_off = np.finfo(float).eps * np.log2(fa[0].size)
 
     def ball(k):
@@ -753,6 +746,7 @@ def radial_majorant_defects(phi: ScalarField, values) -> np.ndarray:
                 shell_sums = np.add.reduceat(gathered, starts, axis=1)
                 mf = (np.cumsum(shell_sums, axis=1) / sizes).max(axis=1)
                 num = np.abs((gathered * weights).sum(axis=1) + tail[chunk])
+                del gathered  # before the next chunk is gathered
                 best = max(best, float(np.max(num / (l1 * mf))))
             else:
                 return best

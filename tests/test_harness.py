@@ -567,18 +567,14 @@ class TestReports:
                 assert float(row[2]) == increments[i - 1]
         assert float(rows[-1][3]) == solver_result.residual
 
-    def test_record_passthrough_and_rejection(self):
-        record = {"schema": SCHEMA, "kind": "campaign"}
-        assert report_to_record(record) is record
-        with pytest.raises(TypeError):
-            report_to_record(3.5)
+    def test_only_reports_and_results_make_records(self):
+        for obj in ({"schema": SCHEMA, "kind": "campaign"}, 3.5):
+            with pytest.raises(TypeError, match="cannot build a report record"):
+                report_to_record(obj)
 
     def test_unusable_requests_are_rejected(self, campaign_report, tmp_path):
         with pytest.raises(ValueError, match="unknown report format"):
             emit_report(campaign_report, tmp_path / "r.yaml", "yaml")
-        with pytest.raises(ValueError, match="no CSV layout"):
-            emit_report({"schema": SCHEMA, "kind": "other"},
-                        tmp_path / "o.csv", "csv")
 
     def test_io_failures_carry_the_path(self, campaign_report, tmp_path):
         missing_dir = tmp_path / "nope" / "r.json"
@@ -606,7 +602,7 @@ class TestConfigDocuments:
         g = grid_from_doc({"dimension": 1, "extents": [4.0], "resolution": [16]})
         assert g.topology == TRUNCATED
         assert g.origin == (0.0,)
-        with pytest.raises(ValueError, match="unknown topology"):
+        with pytest.raises(ValueError, match="topology must be one of"):
             grid_from_doc({"dimension": 1, "extents": [4.0], "resolution": [16],
                            "topology": "moebius"})
 
@@ -769,6 +765,18 @@ class TestCli:
         assert main(["norm", "--field", field_path,
                      "--exponent", str(exp_path)]) == 2
         assert "different grids" in capsys.readouterr().err
+
+    def test_uncertifiable_norm_tolerance_is_a_usage_error(self, tmp_path, capsys):
+        _, field_path = self._indicator_field(tmp_path)
+        exp_path = write_json(tmp_path / "p.json",
+                              {"family": "constant", "params": [2.0]})
+        assert main(["norm", "--field", field_path, "--exponent", exp_path,
+                     "--tol", "1e-15"]) == 0
+        capsys.readouterr()
+        assert main(["norm", "--field", field_path, "--exponent", exp_path,
+                     "--tol", "1e-17"]) == 2
+        assert capsys.readouterr().err == \
+            "varns: could not certify the norm to relative tolerance 1e-17\n"
 
     def test_campaign_command_reports_pass_and_fail(self, tmp_path, capsys):
         out_path = tmp_path / "r.json"

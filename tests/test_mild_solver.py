@@ -377,13 +377,17 @@ def _time_exponent(grid):
     (lambda: thm2_config(torus(8), TimeGrid(1.0, 8),
                          p=_time_exponent(GridSpec(1, (1.0,), (8,), PERIODIC, (0.0,)))),
      "sampled on a truncated interval"),
+    (lambda: thm2_config(torus(8), TimeGrid(1.0, 8),
+                         p=_time_exponent(GridSpec(1, (2.0,), (8,), TRUNCATED, (0.0,)))),
+     r"interval must cover \[0, T\]"),
     (lambda: initial_term(single_mode_u0(torus(8)), None, TimeGrid(1.0, 8),
                           make_workspace(torus(16))), "data and workspace grids differ"),
     (lambda: bilinear_term(SpaceTimeField(np.zeros((9, 3) + torus(8).shape), TimeGrid(1.0, 8),
                                           torus(8)), make_workspace(torus(16))),
      "field and workspace grids differ"),
 ], ids=["time-exponent-samples", "thm1-exponent-grid", "thm2-without-q",
-        "thm2-periodic-exponent", "initial-term-grid", "bilinear-term-grid"])
+        "thm2-periodic-exponent", "time-exponent-interval", "initial-term-grid",
+        "bilinear-term-grid"])
 def test_mismatched_exponents_and_grids_are_refused(build, match):
     with pytest.raises(ValueError, match=match):
         build()

@@ -349,6 +349,27 @@ class TestStackedTransforms:
         # spectrum per field (1.125 field_bytes at 16^3) would break the bound
         assert peak(16) - peak(4) < 2 * 12 * field_bytes
 
+    def test_majorant_core_holds_no_dead_state(self, monkeypatch):
+        import tracemalloc
+        import varns.operators as operators
+        g, phi = campaign_torus(24)
+        rng = np.random.default_rng(0)
+        field_bytes = np.zeros(g.shape).nbytes
+        monkeypatch.setattr(operators, "_two_lanes", lambda job, n: [job(i) for i in range(n)])
+        radial_majorant_defects(phi, rng.standard_normal((2,) + g.shape))  # warm the caches
+        stack = rng.standard_normal((2,) + g.shape)
+        tracemalloc.start()
+        try:
+            radial_majorant_defects(phi, stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 71.4 field_bytes on a 2-core x86 box: the kernel, tail, support and
+        # 30 coarse ball spectra, one job's arrays, and one chunk's gather and
+        # its indices.  Keeping the set-up's distances, sorted and rolled
+        # kernel, tail and mirror index through the map adds 7 more
+        assert peak < 78 * field_bytes
+
     def test_stacks_must_end_in_the_grid_shape(self):
         g = GridSpec(1, (4.0,), (16,), TRUNCATED, (0.0,))
         with pytest.raises(ValueError, match="shape"):

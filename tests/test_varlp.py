@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from varns import (
     PERIODIC,
     TRUNCATED,
+    BisectionError,
     ExponentField,
     ExponentRelationError,
     GridSpec,
@@ -151,6 +152,16 @@ class TestLuxemburg:
         p = make_exponent("constant", (2.0,), g)
         with pytest.raises(ValueError):
             luxemburg_norm(ScalarField(np.ones(g.shape), g), p, tol=0.0)
+
+    def test_uncertifiable_tolerance_raises(self):
+        # a relative width of 1e-17 is below the rounding of the log-modular
+        # near this norm's logarithm, so no iterate can certify it
+        g = line(4.0, 8192, 0.0)
+        f = ScalarField(3.7 * indicator(g, 0.0, 0.5).values, g)
+        p = make_exponent("constant", (2.5,), g)
+        assert luxemburg_norm(f, p, tol=1e-15).value == pytest.approx(3.7 * 0.5 ** 0.4)
+        with pytest.raises(BisectionError, match="relative tolerance 1e-17"):
+            luxemburg_norm(f, p, tol=1e-17)
 
 
 class TestMixedNorm:
